@@ -14,6 +14,31 @@ grows) and the base correlation.  All entries of all profiles live in flat
 handful of vectorised numpy operations instead of a Python loop over
 profiles.
 
+Retention rule
+--------------
+Row ``i`` keeps the **first** ``p`` of its candidates (every offset outside
+the trivial-match zone) in the order *base correlation descending, offset
+ascending*, and stores them in that order.  Ties are therefore decided by
+offset, never by a sort implementation: a run of constant neighbours (all
+pinned at correlation ``1.0``) longer than ``p`` keeps its ``p`` lowest
+offsets.  :meth:`PartialProfileStore.ingest_centered_profile` implements the
+rule in numpy for one row (``argpartition`` finds the threshold, ties at it
+go to the lowest offsets) and in C for the blocks of rows the native sweep
+hands over (``repro_store_ingest`` in ``_stomp_kernel.c``).  Both compute
+the correlations with the same operations, so the oracle, numpy and native
+kernels build the same store bit for bit.
+
+Kernels
+-------
+A store follows the sweep ``kernel=`` it is given (resolved once by
+:func:`~repro.matrix_profile.kernels.resolve_kernel`): on ``"native"``,
+:meth:`~PartialProfileStore.advance_to` and the per-row minimum of
+:meth:`~PartialProfileStore.evaluate` run in C (``repro_store_advance`` and
+``repro_store_minima``), element for element the numpy arithmetic; every
+other kernel takes the numpy code, which is also the fallback when no
+compiled kernel is available.  ``maxLB`` and the valid/non-valid split stay
+in numpy on both paths.
+
 Centering
 ---------
 Z-normalised distances are invariant under a global shift of the series, but
@@ -59,7 +84,9 @@ import numpy as np
 
 from repro.core.lower_bound import lower_bound
 from repro.exceptions import InvalidParameterError
+from repro.matrix_profile import _native
 from repro.matrix_profile.exclusion import default_exclusion_radius
+from repro.matrix_profile.kernels import resolve_kernel
 from repro.stats.distance import centered_dot_products, compensation_needed
 from repro.stats.sliding import SlidingStats
 from repro.stats.znorm import STD_EPSILON
@@ -142,6 +169,11 @@ class PartialProfileStore:
         Denominator of the trivial-match radius.
     lower_bound_kind:
         ``"tight"`` or ``"paper"`` (see :mod:`repro.core.lower_bound`).
+    kernel:
+        The sweep kernel the caller runs (``None`` honours
+        ``REPRO_KERNEL``); ``"native"`` runs :meth:`advance_to` and
+        :meth:`evaluate` in C, anything else in numpy — see the module
+        docstring.
     """
 
     def __init__(
@@ -153,6 +185,7 @@ class PartialProfileStore:
         *,
         exclusion_factor: int = 4,
         lower_bound_kind: str = "tight",
+        kernel: str | None = None,
     ) -> None:
         if capacity < 1:
             raise InvalidParameterError(f"capacity must be >= 1, got {capacity}")
@@ -169,6 +202,7 @@ class PartialProfileStore:
             row_range=(0, values.size - int(base_length) + 1),
         )
         self._stats: SlidingStats | None = stats
+        self._kernel = "native" if resolve_kernel(kernel) == "native" else "numpy"
 
     @classmethod
     def fragment(
@@ -190,15 +224,18 @@ class PartialProfileStore:
         with the block payload), so the fragment needs no
         :class:`~repro.stats.sliding.SlidingStats`.  Fragments can ingest
         and :meth:`export_state` but not :meth:`evaluate` — merge them into
-        a full store first.
+        a full store first.  Which kernel fills a fragment is the sweep's
+        business (:func:`~repro.matrix_profile.kernels.run_sweep`); its own
+        :meth:`advance_to` takes the numpy path.
         """
         if capacity < 1:
             raise InvalidParameterError(f"capacity must be >= 1, got {capacity}")
         store = cls.__new__(cls)
         store._init_core(
-            centered_values=np.asarray(centered_values, dtype=np.float64),
-            base_means=np.asarray(base_means, dtype=np.float64),
-            base_stds=np.asarray(base_stds, dtype=np.float64),
+            # Contiguous float64: the native kernel reads these through raw pointers.
+            centered_values=np.ascontiguousarray(centered_values, dtype=np.float64),
+            base_means=np.ascontiguousarray(base_means, dtype=np.float64),
+            base_stds=np.ascontiguousarray(base_stds, dtype=np.float64),
             base_length=int(base_length),
             capacity=int(capacity),
             exclusion_factor=int(exclusion_factor),
@@ -206,6 +243,7 @@ class PartialProfileStore:
             row_range=row_range,
         )
         store._stats = None
+        store._kernel = "numpy"
         return store
 
     def _init_core(
@@ -245,6 +283,7 @@ class PartialProfileStore:
         self._base_constant = base_stds <= 0.0
         #: one cancellation-risk decision for every base-profile ingest
         self._base_compensated = compensation_needed(base_means, base_means, base_stds)
+        self._base_radius = default_exclusion_radius(base_length, exclusion_factor)
 
         shape = (row_stop - row_start, self._capacity)
         self._neighbors = np.full(shape, -1, dtype=np.int64)
@@ -287,6 +326,11 @@ class PartialProfileStore:
         return self._lower_bound_kind
 
     @property
+    def kernel(self) -> str:
+        """The path :meth:`advance_to`/:meth:`evaluate` take (``"native"``/``"numpy"``)."""
+        return self._kernel
+
+    @property
     def current_length(self) -> int:
         """The length the stored dot products currently correspond to."""
         return self._current_length
@@ -324,33 +368,24 @@ class PartialProfileStore:
                 "ingest_store was already advanced past its base length"
             )
 
-    def ingest_base_profile(self, offset: int, dot_products: np.ndarray) -> None:
-        """Removed raw-value ingest — the store is mean-centered now.
-
-        This shim exists so callers still holding *raw* sliding dot products
-        fail loudly instead of silently corrupting the store (a raw product
-        at a large series offset is numerically nothing like its centered
-        counterpart).  Feed :meth:`ingest_centered_profile` with products
-        taken on :attr:`~repro.stats.sliding.SlidingStats.centered_values`
-        — exactly what the centered STOMP sweep's ``profile_callback``
-        carries — or let the engine ingest for you via
-        ``stomp(..., ingest_store=store)``.
-        """
-        raise InvalidParameterError(
-            "PartialProfileStore.ingest_base_profile() was removed: the store "
-            "is mean-centered and no longer accepts raw dot products.  Pass "
-            "products computed on the centered series to "
-            "ingest_centered_profile(), or use stomp(..., ingest_store=store)."
-        )
-
     def ingest_centered_profile(self, offset: int, dot_products: np.ndarray) -> None:
         """Retain the most promising entries of one base distance profile.
 
         Called once per query offset with the sliding dot products of that
         offset's base-length profile, taken on the **mean-centered** series
         (``stats.centered_values`` — the space the centered STOMP sweep and
-        the engine blocks run in).
+        the engine blocks run in).  Which entries stay is the retention rule
+        of the module docstring.
+
+        A 2-D ``dot_products`` is a block of consecutive profiles, row ``k``
+        belonging to offset ``offset + k`` — what the native sweep hands
+        over.  A block is retained in C (``repro_store_ingest``) when the
+        compiled kernel is loaded and row by row here otherwise; both give
+        the same store bit for bit.
         """
+        if np.ndim(dot_products) == 2:
+            self._ingest_block(int(offset), np.asarray(dot_products, dtype=np.float64))
+            return
         if not self._row_start <= offset < self._row_stop:
             raise InvalidParameterError(
                 f"profile {offset} is outside this store's row range "
@@ -388,7 +423,7 @@ class PartialProfileStore:
         correlations = np.where(self._base_constant, 1.0, correlations)
         np.clip(correlations, -1.0, 1.0, out=correlations)
 
-        radius = default_exclusion_radius(length, self._exclusion_factor)
+        radius = self._base_radius
         start = max(0, offset - radius)
         stop = min(self._num_profiles, offset + radius + 1)
         candidate_mask = np.ones(self._num_profiles, dtype=bool)
@@ -400,17 +435,26 @@ class PartialProfileStore:
             self._populated[row] = True
             return
 
-        if candidate_indices.size <= self._capacity:
+        capacity = self._capacity
+        if candidate_indices.size <= capacity:
             kept = candidate_indices
             self._complete[row] = True
         else:
             candidate_correlations = correlations[candidate_indices]
-            partition = np.argpartition(candidate_correlations, -self._capacity)
-            top = partition[-self._capacity :]
+            partition = np.argpartition(candidate_correlations, -capacity)
+            threshold = candidate_correlations[partition[-capacity]]
+            ceiling = candidate_correlations[partition[:-capacity]].max()
+            if ceiling < threshold:
+                top = partition[-capacity:]
+            else:
+                # Ties straddle the cut: everything above the threshold
+                # stays, the lowest offsets fill the rest (candidate
+                # positions ascend with the offsets).
+                above = np.flatnonzero(candidate_correlations > threshold)
+                tied = np.flatnonzero(candidate_correlations == threshold)
+                top = np.concatenate([above, tied[: capacity - above.size]])
             kept = candidate_indices[top]
-            self._pruned_correlation_ceiling[row] = float(
-                candidate_correlations[partition[: -self._capacity]].max()
-            )
+            self._pruned_correlation_ceiling[row] = float(ceiling)
             # If some constant-at-base neighbour was *not* retained we cannot
             # bound its distance at longer lengths: disable pruning here.
             constant_candidates = int(np.count_nonzero(self._base_constant[candidate_indices]))
@@ -419,13 +463,60 @@ class PartialProfileStore:
                 if constant_kept < constant_candidates:
                     self._unbounded[row] = True
 
-        order = np.argsort(-correlations[kept])
-        kept = kept[order]
+        kept = kept[np.lexsort((kept, -correlations[kept]))]
         count = kept.size
         self._neighbors[row, :count] = kept
         self._dot_products[row, :count] = qt[kept]
         self._base_correlations[row, :count] = correlations[kept]
         self._populated[row] = True
+
+    def _ingest_block(self, offset: int, rows: np.ndarray) -> None:
+        """:meth:`ingest_centered_profile` of rows ``offset, offset + 1, ...``."""
+        stop = offset + rows.shape[0]
+        if offset < self._row_start or stop > self._row_stop:
+            outside = offset if offset < self._row_start else max(offset, self._row_stop)
+            raise InvalidParameterError(
+                f"profile {outside} is outside this store's row range "
+                f"[{self._row_start}, {self._row_stop})"
+            )
+        ingested = np.flatnonzero(
+            self._populated[offset - self._row_start : stop - self._row_start]
+        )
+        if ingested.size:
+            raise InvalidParameterError(
+                f"profile {offset + int(ingested[0])} was already ingested"
+            )
+        if rows.shape[1] != self._num_profiles:
+            raise InvalidParameterError(
+                f"expected {self._num_profiles} dot products, got {rows.shape[1]}"
+            )
+        lib = _native.load()
+        if lib is None:
+            for k, row in enumerate(rows):
+                self.ingest_centered_profile(offset + k, row)
+            return
+        lib.repro_store_ingest(
+            np.ascontiguousarray(rows),
+            rows.shape[0],
+            rows.shape[1],
+            offset,
+            self._base_length,
+            self._base_means,
+            self._base_stds,
+            self._base_radius,
+            1 if self._base_compensated else 0,
+            self._capacity,
+            self._row_start,
+            self._neighbors,
+            self._dot_products,
+            self._base_correlations,
+            self._pruned_correlation_ceiling,
+            self._complete,
+            self._unbounded,
+            self._populated,
+            np.empty(self._capacity, dtype=np.float64),
+            np.empty(self._capacity, dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------ #
     # fragments: split / export / merge
@@ -531,7 +622,7 @@ class PartialProfileStore:
         The update appends one trailing **centered** product per intermediate
         length.  Accumulation stays sequential per step — each lane's running
         sum must round exactly like the historical one-length-at-a-time loop
-        (:meth:`_advance_to_stepwise`, kept for the equivalence test) — but
+        (the reference in ``tests/test_core_partial_profile.py``) — but
         everything invariant across the tail window is hoisted out of the
         loop: row indices, neighbour applicability cutoffs (``applicable`` at
         step ``t`` is simply ``t < n - neighbour``, monotone in ``t``), and
@@ -540,7 +631,9 @@ class PartialProfileStore:
         gather-multiply-add (the common case while the tail window is short),
         none-applicable steps skip outright, and only the shrinking boundary
         between them pays the masked update.  This is VALMOD's per-length hot
-        loop when ``length_step > 1`` or the length range is wide.
+        loop when ``length_step > 1`` or the length range is wide.  On the
+        native kernel ``repro_store_advance`` runs the same update row by
+        row in C.
         """
         if length < self._current_length:
             raise InvalidParameterError(
@@ -556,6 +649,22 @@ class PartialProfileStore:
         values = self._values
         n = values.size
         neighbors = self._neighbors
+        lib = self._native_lib()
+        if lib is not None:
+            lib.repro_store_advance(
+                values,
+                n,
+                self._row_start,
+                self._row_stop,
+                self._capacity,
+                neighbors,
+                self._dot_products,
+                start_length,
+                length,
+                np.empty(self._row_stop - self._row_start, dtype=np.int64),
+            )
+            self._current_length = length
+            return
         has_neighbor = neighbors >= 0
         # Step t contributes to a lane iff t < cap; cap = 0 parks empty lanes.
         neighbor_cap = np.where(has_neighbor, n - neighbors, 0)
@@ -588,42 +697,61 @@ class PartialProfileStore:
                 )
         self._current_length = length
 
-    def _advance_to_stepwise(self, length: int) -> None:
-        """The historical one-length-per-pass advance, kept as the reference.
+    def _native_lib(self):
+        """The compiled kernel when this store runs native, else ``None``."""
+        return _native.load() if self._kernel == "native" else None
 
-        Bit-for-bit equivalent to :meth:`advance_to` by construction (the
-        tests compare the two lane by lane); not used on any hot path.
-        """
-        if length < self._current_length:
-            raise InvalidParameterError(
-                f"cannot shrink the store from length {self._current_length} to {length}"
-            )
-        if length > self._values.size:
-            raise InvalidParameterError(
-                f"length {length} exceeds the series length {self._values.size}"
-            )
-        values = self._values
-        n = values.size
-        while self._current_length < length:
-            current = self._current_length
-            new_length = current + 1
-            # Rows whose query subsequence still fits at the new length.
-            row_limit = n - new_length + 1
-            local_stop = min(self._row_stop, row_limit)
-            if local_stop > self._row_start:
-                local = slice(0, local_stop - self._row_start)
-                rows = np.arange(self._row_start, local_stop)
-                neighbors = self._neighbors[local]
-                applicable = (neighbors >= 0) & (neighbors <= n - new_length)
-                if applicable.any():
-                    query_tail = values[rows + current][:, np.newaxis]
-                    neighbor_tail = np.where(
-                        applicable, values[np.clip(neighbors + current, 0, n - 1)], 0.0
-                    )
-                    self._dot_products[local] += np.where(
-                        applicable, query_tail * neighbor_tail, 0.0
-                    )
-            self._current_length = new_length
+    def _minima(
+        self,
+        length: int,
+        num_rows: int,
+        radius: int,
+        means: np.ndarray,
+        stds: np.ndarray,
+        compensated: bool,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Per-row ``minDist`` and its neighbour over the retained entries (numpy path)."""
+        rows = np.arange(num_rows)
+        neighbors = self._neighbors[:num_rows]
+        qt = self._dot_products[:num_rows]
+
+        applicable = (
+            (neighbors >= 0)
+            & (neighbors < num_rows)
+            & (np.abs(neighbors - rows[:, np.newaxis]) > radius)
+        )
+        safe_neighbors = np.clip(neighbors, 0, num_rows - 1)
+        mu_i = means[:num_rows][:, np.newaxis]
+        sigma_i = stds[:num_rows][:, np.newaxis]
+        mu_j = means[safe_neighbors]
+        sigma_j = stds[safe_neighbors]
+
+        centered = centered_dot_products(
+            qt,
+            length,
+            mu_i,
+            mu_j,
+            compensated=compensated,
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correlation = centered / (length * sigma_i * sigma_j)
+        np.clip(correlation, -1.0, 1.0, out=correlation)
+        squared = 2.0 * length * (1.0 - correlation)
+        np.maximum(squared, 0.0, out=squared)
+        distances = np.sqrt(squared)
+        # Constant-subsequence conventions.
+        i_const = sigma_i <= 0.0
+        j_const = sigma_j <= 0.0
+        distances = np.where(i_const & j_const, 0.0, distances)
+        distances = np.where(i_const ^ j_const, np.sqrt(length), distances)
+        distances = np.where(applicable, distances, np.inf)
+
+        min_positions = np.argmin(distances, axis=1)
+        min_distances = distances[rows, min_positions]
+        min_indices = np.where(
+            np.isfinite(min_distances), neighbors[rows, min_positions], -1
+        )
+        return min_distances, min_indices.astype(np.int64)
 
     def evaluate(self, length: int) -> LengthEvaluation:
         """Evaluate every partial profile at ``length``.
@@ -655,47 +783,28 @@ class PartialProfileStore:
         # conversion subtracts length * mu~_i * mu~_j (see module docstring).
         means, stds = self._stats.centered_mean_std(length)
         radius = default_exclusion_radius(length, self._exclusion_factor)
-
-        rows = np.arange(num_rows)
-        neighbors = self._neighbors[:num_rows]
-        qt = self._dot_products[:num_rows]
-
-        applicable = (
-            (neighbors >= 0)
-            & (neighbors < num_rows)
-            & (np.abs(neighbors - rows[:, np.newaxis]) > radius)
-        )
-        safe_neighbors = np.clip(neighbors, 0, num_rows - 1)
-        mu_i = means[:num_rows][:, np.newaxis]
-        sigma_i = stds[:num_rows][:, np.newaxis]
-        mu_j = means[safe_neighbors]
-        sigma_j = stds[safe_neighbors]
-
-        centered = centered_dot_products(
-            qt,
-            length,
-            mu_i,
-            mu_j,
-            compensated=self._stats.conversion_compensated(length),
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            correlation = centered / (length * sigma_i * sigma_j)
-        np.clip(correlation, -1.0, 1.0, out=correlation)
-        squared = 2.0 * length * (1.0 - correlation)
-        np.maximum(squared, 0.0, out=squared)
-        distances = np.sqrt(squared)
-        # Constant-subsequence conventions.
-        i_const = sigma_i <= 0.0
-        j_const = sigma_j <= 0.0
-        distances = np.where(i_const & j_const, 0.0, distances)
-        distances = np.where(i_const ^ j_const, np.sqrt(length), distances)
-        distances = np.where(applicable, distances, np.inf)
-
-        min_positions = np.argmin(distances, axis=1)
-        min_distances = distances[rows, min_positions]
-        min_indices = np.where(
-            np.isfinite(min_distances), neighbors[rows, min_positions], -1
-        )
+        compensated = self._stats.conversion_compensated(length)
+        lib = self._native_lib()
+        if lib is not None:
+            min_distances = np.empty(num_rows, dtype=np.float64)
+            min_indices = np.empty(num_rows, dtype=np.int64)
+            lib.repro_store_minima(
+                self._neighbors,
+                self._dot_products,
+                num_rows,
+                self._capacity,
+                length,
+                radius,
+                means,
+                stds,
+                1 if compensated else 0,
+                min_distances,
+                min_indices,
+            )
+        else:
+            min_distances, min_indices = self._minima(
+                length, num_rows, radius, means, stds, compensated
+            )
 
         max_lower_bounds = np.asarray(
             lower_bound(
@@ -725,7 +834,7 @@ class PartialProfileStore:
         return LengthEvaluation(
             length=length,
             min_distances=min_distances,
-            min_indices=min_indices.astype(np.int64),
+            min_indices=min_indices,
             max_lower_bounds=max_lower_bounds,
             valid=valid,
         )

@@ -36,6 +36,7 @@ from repro.core.results import LengthResult, PruningStats, ValmodResult
 from repro.core.valmap import Valmap
 from repro.matrix_profile.distance_profile import distance_profile
 from repro.matrix_profile.exclusion import apply_exclusion_zone, default_exclusion_radius
+from repro.matrix_profile.kernels import resolve_kernel
 from repro.matrix_profile.profile import MotifPair
 from repro.matrix_profile.stomp import stomp
 from repro.series.dataseries import DataSeries
@@ -108,10 +109,11 @@ def valmod(
     non-valid profiles) through
     :func:`repro.engine.batch.compute_profiles`.  The base pass ingests the
     partial-profile store block-locally (each block builds a store fragment,
-    the fragments merge into the exact serial store), so VALMOD's dominant
-    cost parallelises like any other profile computation.  ``kernel``
+    the fragments merge into the exact serial store), so the base pass
+    parallelises like any other profile computation.  ``kernel``
     selects the sweep kernel of the base pass
-    (:mod:`repro.matrix_profile.kernels`).
+    (:mod:`repro.matrix_profile.kernels`); on ``"native"`` the
+    partial-profile store's ingest, advance and evaluation run in C too.
 
     Returns
     -------
@@ -156,6 +158,12 @@ def valmod_with_config(
     ``stats`` optionally reuses a precomputed
     :class:`~repro.stats.sliding.SlidingStats` of the same series (the
     :class:`repro.api.Analysis` session shares one across every call).
+
+    While a trace is being collected the run records one
+    ``valmod.base_pass`` span, one ``valmod.evaluate`` span per length and
+    one ``valmod.recompute`` span per length with recomputations (its
+    duration is the sum of that length's recompute batches), each tagged
+    with the kernel that ran — ``mass`` for the recomputations.
     """
     series_name = series.name if isinstance(series, DataSeries) else "series"
     values = validate_series(series)
@@ -165,6 +173,7 @@ def valmod_with_config(
     started = time.perf_counter()
     if stats is None:
         stats = SlidingStats(values)
+    kernel = resolve_kernel(kernel)
     store = PartialProfileStore(
         values,
         stats,
@@ -172,23 +181,26 @@ def valmod_with_config(
         config.profile_capacity,
         exclusion_factor=config.exclusion_factor,
         lower_bound_kind=config.lower_bound_kind,
-    )
-
-    # The store ingests inside the STOMP pass: serially row by row on the
-    # oracle path, block-locally (fragments merged back) when an engine is
-    # configured — no per-row callback, hence nothing forces blocks serial.
-    base_radius = default_exclusion_radius(config.min_length, config.exclusion_factor)
-    base_profile = stomp(
-        values,
-        config.min_length,
-        exclusion_radius=base_radius,
-        stats=stats,
-        ingest_store=store,
-        engine=engine,
-        n_jobs=n_jobs,
-        block_size=block_size,
         kernel=kernel,
     )
+
+    # The store ingests inside the STOMP pass (row views on the oracle and
+    # numpy kernels, in C on native): in one serial sweep, or block-locally
+    # (fragments merged back) when an engine is configured — no per-row
+    # callback, hence nothing forces blocks serial.
+    base_radius = default_exclusion_radius(config.min_length, config.exclusion_factor)
+    with obs.span("valmod.base_pass", length=config.min_length, kernel=kernel):
+        base_profile = stomp(
+            values,
+            config.min_length,
+            exclusion_radius=base_radius,
+            stats=stats,
+            ingest_store=store,
+            engine=engine,
+            n_jobs=n_jobs,
+            block_size=block_size,
+            kernel=kernel,
+        )
 
     length_results: Dict[int, LengthResult] = {}
     base_motifs = base_profile.motifs(config.top_k)
@@ -311,8 +323,13 @@ def _evaluate_length(
     candidate out), which only affects the ``num_recomputed`` counter,
     never the reported pairs.
     """
-    evaluation = store.evaluate(length)
+    with obs.span("valmod.evaluate", length=length, kernel=store.kernel):
+        evaluation = store.evaluate(length)
     radius = default_exclusion_radius(length, config.exclusion_factor)
+    tracing = obs.tracing_active()
+    recompute_wall = 0.0
+    recompute_seconds = 0.0
+    batches = 0
 
     exact = np.array(evaluation.valid, dtype=bool)
     min_distances = np.array(evaluation.min_distances, dtype=np.float64)
@@ -341,9 +358,16 @@ def _evaluate_length(
                     chunk = chunk[smallest]
             else:
                 chunk = np.array([candidate], dtype=np.int64)
+            if tracing:
+                if not batches:
+                    recompute_wall = time.time()
+                batch_started = time.perf_counter()
             profiles = _recompute_exact(
                 values, stats, length, radius, chunk, engine, n_jobs
             )
+            if tracing:
+                recompute_seconds += time.perf_counter() - batch_started
+                batches += 1
             for offset, profile in zip(chunk.tolist(), profiles):
                 best = int(np.argmin(profile))
                 if np.isfinite(profile[best]):
@@ -370,6 +394,16 @@ def _evaluate_length(
         apply_exclusion_zone(working, candidate, radius)
         apply_exclusion_zone(working, int(nearest[candidate]), radius)
 
+    if batches:
+        obs.record_span(
+            "valmod.recompute",
+            recompute_wall,
+            recompute_seconds,
+            length=length,
+            batches=batches,
+            profiles=recomputed,
+            kernel="mass",
+        )
     pruning = PruningStats(
         length=length,
         num_profiles=int(evaluation.valid.size),

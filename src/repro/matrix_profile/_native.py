@@ -34,6 +34,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import threading
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
@@ -49,6 +50,9 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 _lib = None
 _attempted = False
 _reason: "str | None" = None
+#: Serialises the first load attempt: a caller arriving while another
+#: thread compiles waits for the outcome instead of reading "unavailable".
+_load_lock = threading.Lock()
 
 
 def _find_compiler() -> "str | None":
@@ -126,6 +130,63 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_double_arr,  # distances (in/out)
         c_index_arr,  # indices (in/out)
     ]
+    c_flag_arr = ndpointer(np.bool_, flags="C_CONTIGUOUS")
+    lib.repro_stomp_rows_segment.restype = None
+    lib.repro_stomp_rows_segment.argtypes = [
+        *lib.repro_stomp_segment.argtypes,
+        i64,  # seed (the segment's seed row)
+        c_double_arr,  # rows (stop - start, count; out)
+    ]
+    lib.repro_store_ingest.restype = None
+    lib.repro_store_ingest.argtypes = [
+        c_double_arr,  # rows (num_rows, count)
+        i64,  # num_rows
+        i64,  # count
+        i64,  # first (offset of rows[0])
+        i64,  # store base length
+        c_double_arr,  # store base means (centered)
+        c_double_arr,  # store base stds
+        i64,  # store trivial-match radius
+        ctypes.c_int,  # store compensated
+        i64,  # capacity
+        i64,  # row_start
+        c_index_arr,  # neighbors (rows, capacity)
+        c_double_arr,  # dot_products (rows, capacity)
+        c_double_arr,  # base_correlations (rows, capacity)
+        c_double_arr,  # pruned_correlation_ceiling (rows)
+        c_flag_arr,  # complete (rows)
+        c_flag_arr,  # unbounded (rows)
+        c_flag_arr,  # populated (rows)
+        c_double_arr,  # heap_corr scratch (capacity)
+        c_index_arr,  # heap_off scratch (capacity)
+    ]
+    lib.repro_store_advance.restype = None
+    lib.repro_store_advance.argtypes = [
+        c_double_arr,  # values (centered)
+        i64,  # n
+        i64,  # row_start
+        i64,  # row_stop
+        i64,  # capacity
+        c_index_arr,  # neighbors (rows, capacity)
+        c_double_arr,  # dot_products (rows, capacity, in/out)
+        i64,  # from_length
+        i64,  # to_length
+        c_index_arr,  # cap scratch (rows)
+    ]
+    lib.repro_store_minima.restype = None
+    lib.repro_store_minima.argtypes = [
+        c_index_arr,  # neighbors (rows, capacity)
+        c_double_arr,  # dot_products (rows, capacity)
+        i64,  # num_rows
+        i64,  # capacity
+        i64,  # length
+        i64,  # radius
+        c_double_arr,  # means (centered, at length)
+        c_double_arr,  # stds (at length)
+        ctypes.c_int,  # compensated
+        c_double_arr,  # min_distances (out)
+        c_index_arr,  # min_indices (out)
+    ]
     return lib
 
 
@@ -160,16 +221,19 @@ def load():
 
     The first call pays the (cached) compile; subsequent calls are a
     module-global read.  Failures are remembered — one attempt per
-    process, never an exception to the caller.
+    process, never an exception to the caller.  Threads that call during
+    the first attempt wait for it and get its outcome.
     """
     global _lib, _attempted, _reason
     if not _attempted:
-        _attempted = True
-        try:
-            _lib = _build_and_load()
-        except Exception as error:  # noqa: BLE001 - availability probe
-            _lib = None
-            _reason = str(error)
+        with _load_lock:
+            if not _attempted:
+                try:
+                    _lib = _build_and_load()
+                except Exception as error:  # noqa: BLE001 - availability probe
+                    _lib = None
+                    _reason = str(error)
+                _attempted = True
     return _lib
 
 
@@ -185,6 +249,7 @@ def unavailable_reason() -> "str | None":
 def reset() -> None:
     """Forget the cached load attempt (tests flip the env knobs)."""
     global _lib, _attempted, _reason
-    _lib = None
-    _attempted = False
-    _reason = None
+    with _load_lock:
+        _lib = None
+        _attempted = False
+        _reason = None

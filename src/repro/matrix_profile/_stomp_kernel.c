@@ -22,9 +22,14 @@
  *
  * The entry point is loaded via ctypes (see _native.py); it holds no
  * state and releases the GIL for the whole segment by construction.
+ * Further down, under the same rules: the AB-join and SCRIMP entries, and
+ * VALMOD's partial-profile store (a sweep that hands its rows to the
+ * base-pass ingest, the ingest itself, the per-length advance and the
+ * per-row minimum).
  */
 
 #include <math.h>
+#include <string.h>
 
 typedef long long i64;
 
@@ -303,5 +308,345 @@ void repro_scrimp_block(const double *values, i64 n, i64 window, i64 count,
                 indices[j + d] = j;
             }
         }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* VALMOD's partial-profile store (repro.core.partial_profile)        */
+/* ------------------------------------------------------------------ */
+
+/* Candidate order of the retention rule: a ranks below b when its base
+ * correlation is smaller, or equal with a larger offset. */
+static int ranks_below(double corr_a, i64 off_a, double corr_b, i64 off_b) {
+    return corr_a < corr_b || (corr_a == corr_b && off_a > off_b);
+}
+
+/* Min-heap on the retention order: the root is the lowest-ranked entry. */
+static void heap_swap(double *corr, i64 *off, i64 a, i64 b) {
+    double c = corr[a];
+    i64 o = off[a];
+    corr[a] = corr[b];
+    off[a] = off[b];
+    corr[b] = c;
+    off[b] = o;
+}
+
+static void heap_sift_down(double *corr, i64 *off, i64 size, i64 pos) {
+    for (;;) {
+        i64 left = 2 * pos + 1, right = left + 1, low = pos;
+        if (left < size && ranks_below(corr[left], off[left], corr[low], off[low]))
+            low = left;
+        if (right < size && ranks_below(corr[right], off[right], corr[low], off[low]))
+            low = right;
+        if (low == pos)
+            return;
+        heap_swap(corr, off, pos, low);
+        pos = low;
+    }
+}
+
+static void heap_sift_up(double *corr, i64 *off, i64 pos) {
+    while (pos > 0) {
+        i64 parent = (pos - 1) / 2;
+        if (!ranks_below(corr[pos], off[pos], corr[parent], off[parent]))
+            return;
+        heap_swap(corr, off, pos, parent);
+        pos = parent;
+    }
+}
+
+/* Scalar transcription of PartialProfileStore.ingest_centered_profile for
+ * one row: base correlations through the centered_dot_products arithmetic
+ * (Dekker-compensated when the store decided so), constant neighbours
+ * pinned at 1.0, clip to [-1, 1], then the retention rule of the module
+ * docstring -- the first `capacity` candidates in (correlation
+ * descending, offset ascending) order, stored in that order.  The
+ * candidates stream through a heap of the best `capacity` so far
+ * (heap_corr / heap_off are capacity-sized caller scratch); `ceiling`
+ * tracks the largest correlation turned away or pushed out, which never
+ * exceeds the heap root's, so a candidate below it changes nothing.  The
+ * row's output pointers are already offset to the row. */
+static void retain_row(const double *qt, i64 count, i64 off, i64 length,
+                       const double *means, const double *stds, i64 radius,
+                       int compensated, i64 capacity, double *heap_corr,
+                       i64 *heap_off, i64 *neighbors, double *dots,
+                       double *corrs, double *ceiling_out,
+                       unsigned char *complete, unsigned char *unbounded,
+                       unsigned char *populated) {
+    double length_d = (double)length;
+    double sigma_i = stds[off];
+    double mu_i, coeff, coeff_err = 0.0, denom_i;
+    double ceiling = -INFINITY, root_corr = -INFINITY;
+    i64 lo, hi, j, k, size = 0, root_off = -1;
+    i64 candidates, constant_candidates = 0, constant_kept = 0;
+    int part;
+    *populated = 1;
+    if (sigma_i <= 0.0) {
+        *unbounded = 1;
+        return;
+    }
+    lo = off - radius;
+    if (lo < 0)
+        lo = 0;
+    hi = off + radius + 1;
+    if (hi > count)
+        hi = count;
+    candidates = count - (hi - lo);
+    if (candidates == 0) {
+        *complete = 1;
+        return;
+    }
+    mu_i = means[off];
+    denom_i = length_d * sigma_i;
+    if (compensated)
+        two_product(length_d, mu_i, &coeff, &coeff_err);
+    else
+        coeff = length_d * mu_i;
+    /* The candidates: [0, lo) and [hi, count). */
+    for (part = 0; part < 2; part++) {
+        i64 first = part ? hi : 0, last = part ? count : lo;
+        for (j = first; j < last; j++) {
+            double corr;
+            if (stds[j] <= 0.0) {
+                corr = 1.0;
+                constant_candidates++;
+            } else {
+                double centered;
+                if (compensated) {
+                    double product, product_err, base, sum_err;
+                    two_product(coeff, means[j], &product, &product_err);
+                    two_sum(qt[j], -product, &base, &sum_err);
+                    centered = base + (sum_err - product_err - coeff_err * means[j]);
+                } else {
+                    centered = qt[j] - coeff * means[j];
+                }
+                corr = centered / (denom_i * stds[j]);
+                if (corr < -1.0)
+                    corr = -1.0;
+                else if (corr > 1.0)
+                    corr = 1.0;
+            }
+            if (size < capacity) {
+                heap_corr[size] = corr;
+                heap_off[size] = j;
+                heap_sift_up(heap_corr, heap_off, size);
+                size++;
+            } else if (corr < ceiling) {
+                continue;
+            } else if (ranks_below(root_corr, root_off, corr, j)) {
+                if (root_corr > ceiling)
+                    ceiling = root_corr;
+                heap_corr[0] = corr;
+                heap_off[0] = j;
+                heap_sift_down(heap_corr, heap_off, capacity, 0);
+            } else {
+                if (corr > ceiling)
+                    ceiling = corr;
+                continue;
+            }
+            root_corr = heap_corr[0];
+            root_off = heap_off[0];
+        }
+    }
+    if (candidates <= capacity) {
+        *complete = 1;
+    } else {
+        *ceiling_out = ceiling;
+        for (k = 0; k < size; k++)
+            if (stds[heap_off[k]] <= 0.0)
+                constant_kept++;
+        if (constant_kept < constant_candidates)
+            *unbounded = 1;
+    }
+    /* Heap sort: repeatedly park the lowest-ranked root at the end, which
+     * leaves the entries best first. */
+    for (k = size - 1; k > 0; k--) {
+        heap_swap(heap_corr, heap_off, 0, k);
+        heap_sift_down(heap_corr, heap_off, k, 0);
+    }
+    for (k = 0; k < size; k++) {
+        neighbors[k] = heap_off[k];
+        dots[k] = qt[heap_off[k]];
+        corrs[k] = heap_corr[k];
+    }
+}
+
+/* repro_stomp_segment that also hands out its rows, for VALMOD's
+ * base-pass ingest.
+ *
+ * Rows [start, stop) are advanced with the same recurrence and reduced by
+ * a one-row call of repro_stomp_segment (its seed-row branch: the
+ * ascending '>' scan picks the same first maximum as the fused scan);
+ * each row's dot products are then copied to row (off - start) of
+ * `rows`, a (stop - start, count) block the store retains from.  `seed`
+ * is the segment's seed row: qt holds row `seed` when start == seed and
+ * row start - 1 otherwise, so one segment can be swept in several
+ * blocks. */
+void repro_stomp_rows_segment(
+    const double *values, i64 window, i64 count, const double *means,
+    const double *stds, const double *inv_stds, const double *coef,
+    const double *first_col, double *qt, i64 start, i64 stop, i64 radius,
+    int compensated, int has_const, double *profile, i64 *indices, i64 seed,
+    double *rows) {
+    i64 off;
+    for (off = start; off < stop; off++) {
+        if (off > seed) {
+            double a = values[off - 1];
+            double b = values[off + window - 1];
+            i64 j;
+            for (j = count - 1; j >= 1; j--)
+                qt[j] = (qt[j - 1] - a * values[j - 1]) + b * values[j + window - 1];
+            qt[0] = first_col[off];
+        }
+        repro_stomp_segment(values, window, count, means, stds, inv_stds, coef,
+                            first_col, qt, off, off + 1, radius, compensated,
+                            has_const, profile + (off - start),
+                            indices + (off - start));
+        memcpy(rows + (off - start) * count, qt, (size_t)count * sizeof(double));
+    }
+}
+
+/* PartialProfileStore.ingest_centered_profile for a block of consecutive
+ * rows: row r of `rows` (num_rows x count) holds the centered dot products
+ * of offset first + r, retained by retain_row into row first + r -
+ * row_start of the store's (rows, capacity) arrays.  The store passes its
+ * own base length, statistics, trivial-match radius and compensation
+ * decision; heap_corr / heap_off are `capacity`-sized caller scratch. */
+void repro_store_ingest(const double *rows, i64 num_rows, i64 count, i64 first,
+                        i64 length, const double *means, const double *stds,
+                        i64 radius, int compensated, i64 capacity, i64 row_start,
+                        i64 *neighbors, double *dot_products,
+                        double *base_correlations, double *ceiling,
+                        unsigned char *complete, unsigned char *unbounded,
+                        unsigned char *populated, double *heap_corr,
+                        i64 *heap_off) {
+    i64 r;
+    for (r = 0; r < num_rows; r++) {
+        i64 off = first + r, row = off - row_start;
+        retain_row(rows + r * count, count, off, length, means, stds, radius,
+                   compensated, capacity, heap_corr, heap_off,
+                   neighbors + row * capacity, dot_products + row * capacity,
+                   base_correlations + row * capacity, ceiling + row,
+                   complete + row, unbounded + row, populated + row);
+    }
+}
+
+/* Tail update of PartialProfileStore.advance_to, lengths from -> to.
+ *
+ * Per step `cur`, the rows whose query still fits (row < n - cur) add
+ * values[row + cur] * values[neighbor + cur] to every lane whose neighbour
+ * still fits (neighbor >= 0 and cur < n - neighbor) and +0.0 to the other
+ * lanes; a step where no lane of those rows fits is skipped outright.
+ * That is the numpy update element for element -- including the +0.0,
+ * which turns a lane holding -0.0 into +0.0 -- so the loops may run row-major:
+ * each lane still sees its steps in order.  cap_scratch holds `rows`
+ * i64 of caller scratch. */
+void repro_store_advance(const double *values, i64 n, i64 row_start,
+                         i64 row_stop, i64 capacity, const i64 *neighbors,
+                         double *dot_products, i64 from_length, i64 to_length,
+                         i64 *cap_scratch) {
+    i64 rows = row_stop - row_start;
+    i64 r, k, cur;
+    /* cap_scratch[r]: max over rows <= r of the steps some lane accepts. */
+    for (r = 0; r < rows; r++) {
+        i64 cap = (r > 0) ? cap_scratch[r - 1] : 0;
+        for (k = 0; k < capacity; k++) {
+            i64 nb = neighbors[r * capacity + k];
+            if (nb >= 0 && n - nb > cap)
+                cap = n - nb;
+        }
+        cap_scratch[r] = cap;
+    }
+    for (r = 0; r < rows; r++) {
+        i64 row = row_start + r;
+        i64 last = n - row;
+        const i64 *nb = neighbors + r * capacity;
+        double *dp = dot_products + r * capacity;
+        if (last > to_length)
+            last = to_length;
+        for (cur = from_length; cur < last; cur++) {
+            /* rows [0, n - cur - row_start) take part in step cur */
+            i64 active_rows = n - cur - row_start;
+            double q;
+            if (active_rows > rows)
+                active_rows = rows;
+            if (cur >= cap_scratch[active_rows - 1])
+                continue;
+            q = values[row + cur];
+            for (k = 0; k < capacity; k++) {
+                if (nb[k] >= 0 && cur < n - nb[k])
+                    dp[k] += q * values[nb[k] + cur];
+                else
+                    dp[k] += 0.0;
+            }
+        }
+    }
+}
+
+/* Per-row minimum of PartialProfileStore.evaluate at `length`: true
+ * distances of the retained lanes (the distances_from_dot_products
+ * arithmetic with the constant-subsequence conventions; inapplicable
+ * lanes are inf) reduced like np.argmin -- first minimum, and a NaN, if
+ * any, wins at its first occurrence.  min_indices is -1 where the minimum
+ * is not finite. */
+void repro_store_minima(const i64 *neighbors, const double *dot_products,
+                        i64 num_rows, i64 capacity, i64 length, i64 radius,
+                        const double *means, const double *stds, int compensated,
+                        double *min_distances, i64 *min_indices) {
+    double length_d = (double)length;
+    double sqrt_length = sqrt(length_d);
+    double two_length = 2.0 * length_d;
+    i64 r, k;
+    for (r = 0; r < num_rows; r++) {
+        const i64 *nb = neighbors + r * capacity;
+        const double *qt = dot_products + r * capacity;
+        double mu_i = means[r], sigma_i = stds[r];
+        double denom_i = length_d * sigma_i;
+        double coeff, coeff_err = 0.0, best = 0.0;
+        int query_constant = sigma_i <= 0.0;
+        i64 best_k = 0;
+        if (compensated)
+            two_product(length_d, mu_i, &coeff, &coeff_err);
+        else
+            coeff = length_d * mu_i;
+        for (k = 0; k < capacity; k++) {
+            i64 j = nb[k];
+            double d;
+            if (j < 0 || j >= num_rows || (j > r ? j - r : r - j) <= radius) {
+                d = INFINITY;
+            } else if (query_constant || stds[j] <= 0.0) {
+                d = (query_constant && stds[j] <= 0.0) ? 0.0 : sqrt_length;
+            } else {
+                double centered, corr, squared;
+                if (compensated) {
+                    double product, product_err, base, sum_err;
+                    two_product(coeff, means[j], &product, &product_err);
+                    two_sum(qt[k], -product, &base, &sum_err);
+                    centered = base + (sum_err - product_err - coeff_err * means[j]);
+                } else {
+                    centered = qt[k] - coeff * means[j];
+                }
+                corr = centered / (denom_i * stds[j]);
+                if (corr < -1.0)
+                    corr = -1.0;
+                else if (corr > 1.0)
+                    corr = 1.0;
+                squared = two_length * (1.0 - corr);
+                if (squared < 0.0)
+                    squared = 0.0;
+                d = sqrt(squared);
+            }
+            if (k == 0 || d < best) {
+                best = d;
+                best_k = k;
+            }
+            if (d != d) {
+                best = d;
+                best_k = k;
+                break;
+            }
+        }
+        min_distances[r] = best;
+        min_indices[r] = isfinite(best) ? nb[best_k] : -1;
     }
 }

@@ -34,9 +34,12 @@ through one of three interchangeable kernels:
 ``"native"``
     A small C translation of the numpy kernel, compiled on demand with the
     system C compiler and loaded through :mod:`ctypes`
-    (:mod:`repro.matrix_profile._native`).  Optional: when no compiler is
-    available (or ``REPRO_NO_NATIVE=1``), requests for it fall back to
-    ``"numpy"`` with a one-time :class:`RuntimeWarning`.
+    (:mod:`repro.matrix_profile._native`).  It also carries VALMOD's
+    partial-profile store: the base-pass sweep hands its rows to the
+    store block by block and the store retains them in C, and the store's
+    per-length advance and evaluation run in C too.  Optional: when no
+    compiler is available (or ``REPRO_NO_NATIVE=1``), requests for it fall
+    back to ``"numpy"`` with a one-time :class:`RuntimeWarning`.
 
 ``"auto"`` resolves to ``"native"`` when the compiled kernel is loadable
 and ``"numpy"`` otherwise; a ``kernel=None`` default additionally honours
@@ -78,7 +81,10 @@ to hooks used to be a use-after-advance hazard.  The contract is now:
 * ``ingest_store.ingest_centered_profile(offset, dot_products)`` receives
   a **read-only view** that is only valid for the duration of the call
   (the store copies what it retains); consuming it during the call is the
-  whole contract.
+  whole contract.  The oracle and numpy kernels hand over one 1-D row per
+  call; the native kernel sweeps a block of rows in C and hands over the
+  2-D ``(rows, count)`` block of rows ``offset, offset + 1, ...`` in one
+  call, so a store can retain it in C as well.
 
 ``tests/test_kernels.py`` holds references across rows to enforce both.
 """
@@ -473,9 +479,20 @@ def _numpy_segment(
             best_qt[pos] = row[winner]
 
 
-def _native_segment(ctx, lib, qt, seg_start, seg_stop, base, profile, indices):
-    """Dispatch one reseed segment to the compiled kernel."""
-    lib.repro_stomp_segment(
+#: Bytes of the row block a native ingest sweep fills before the store
+#: retains it (a block holds at least one row).
+_INGEST_BLOCK_BYTES = 2 << 20
+
+
+def _native_segment(ctx, lib, qt, seg_start, seg_stop, base, profile, indices, ingest, block):
+    """Dispatch one reseed segment to the compiled kernel.
+
+    With an ``ingest`` store the segment is swept block by block: the C
+    sweep copies each row's dot products into ``block`` and the store
+    retains the block through ``ingest_centered_profile`` (in C as well,
+    see :mod:`repro.core.partial_profile`).
+    """
+    sweep = (
         ctx.values,
         ctx.window,
         ctx.count,
@@ -485,14 +502,34 @@ def _native_segment(ctx, lib, qt, seg_start, seg_stop, base, profile, indices):
         ctx.coef,
         ctx.first_col,
         qt,
-        seg_start,
-        seg_stop,
-        ctx.radius,
-        1 if ctx.compensated else 0,
-        1 if ctx.has_const else 0,
-        profile[seg_start - base : seg_stop - base],
-        indices[seg_start - base : seg_stop - base],
     )
+    flags = (ctx.radius, 1 if ctx.compensated else 0, 1 if ctx.has_const else 0)
+    if ingest is None:
+        lib.repro_stomp_segment(
+            *sweep,
+            seg_start,
+            seg_stop,
+            *flags,
+            profile[seg_start - base : seg_stop - base],
+            indices[seg_start - base : seg_stop - base],
+        )
+        return
+    chunk_start = seg_start
+    while chunk_start < seg_stop:
+        chunk_stop = min(chunk_start + block.shape[0], seg_stop)
+        rows = block[: chunk_stop - chunk_start]
+        lib.repro_stomp_rows_segment(
+            *sweep,
+            chunk_start,
+            chunk_stop,
+            *flags,
+            profile[chunk_start - base : chunk_stop - base],
+            indices[chunk_start - base : chunk_stop - base],
+            seg_start,
+            rows,
+        )
+        ingest.ingest_centered_profile(chunk_start, _readonly_view(rows))
+        chunk_start = chunk_stop
 
 
 # --------------------------------------------------------------------- #
@@ -535,10 +572,12 @@ def run_sweep(
     profile_callback, ingest:
         Per-row hooks (see the module docstring for the buffer-ownership
         contract).  A ``profile_callback`` needs full distance rows and
-        therefore always runs on the oracle kernel; an ``ingest`` object
+        therefore always runs on the oracle kernel.  An ``ingest`` store
         (a :class:`~repro.core.partial_profile.PartialProfileStore` or
-        fragment) is fed row views by the oracle and numpy kernels, so a
-        native request with ingest runs the numpy kernel.
+        fragment) is fed one row view at a time by the oracle and numpy
+        kernels and blocks of consecutive rows by the native kernel,
+        which the store retains in C; every kernel builds the same store
+        bit for bit.
 
     Returns
     -------
@@ -560,8 +599,6 @@ def run_sweep(
     name = resolve_kernel(kernel)
     if profile_callback is not None:
         name = "oracle"
-    elif ingest is not None and name == "native":
-        name = "numpy"
 
     observing = obs.metrics_enabled() or obs.tracing_active()
     if observing:
@@ -580,6 +617,10 @@ def run_sweep(
     lib = _native_lib() if name == "native" else None
     if name == "native" and lib is None:  # pragma: no cover - racy unload guard
         name = "numpy"
+    block = None
+    if name == "native" and ingest is not None:
+        rows = max(1, min(length, _INGEST_BLOCK_BYTES // (8 * count)))
+        block = np.empty((rows, count), dtype=np.float64)
 
     if name == "numpy":
         workspace = (
@@ -604,7 +645,9 @@ def run_sweep(
         else:
             _seed_into(ctx, qt, seg_start)
             if name == "native":
-                _native_segment(ctx, lib, qt, seg_start, seg_stop, start, profile, indices)
+                _native_segment(
+                    ctx, lib, qt, seg_start, seg_stop, start, profile, indices, ingest, block
+                )
             else:
                 _oracle_segment(
                     ctx,

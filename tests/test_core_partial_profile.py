@@ -9,15 +9,47 @@ from repro.core.partial_profile import PartialProfileStore
 from repro.exceptions import InvalidParameterError
 from repro.matrix_profile.brute_force import brute_force_matrix_profile
 from repro.matrix_profile.exclusion import default_exclusion_radius
+from repro.matrix_profile.kernels import available_kernels
 from repro.matrix_profile.stomp import stomp
 from repro.stats.sliding import SlidingStats
 
+#: The two store paths: numpy always, native when a compiler is present.
+STORE_KERNELS = [name for name in ("numpy", "native") if name in available_kernels()]
 
-def _build_store(values: np.ndarray, base_length: int, capacity: int) -> PartialProfileStore:
+
+def _build_store(
+    values: np.ndarray, base_length: int, capacity: int, kernel: str | None = None
+) -> PartialProfileStore:
     stats = SlidingStats(values)
-    store = PartialProfileStore(values, stats, base_length, capacity)
-    stomp(values, base_length, stats=stats, ingest_store=store)
+    store = PartialProfileStore(values, stats, base_length, capacity, kernel=kernel)
+    stomp(values, base_length, stats=stats, ingest_store=store, kernel=kernel)
     return store
+
+
+def _advance_stepwise(store: PartialProfileStore, length: int) -> None:
+    """The historical one-length-per-pass advance: the reference that
+    ``advance_to`` (numpy and native) must match bit for bit."""
+    values = store._values
+    n = values.size
+    while store._current_length < length:
+        current = store._current_length
+        new_length = current + 1
+        # Rows whose query subsequence still fits at the new length.
+        local_stop = min(store._row_stop, n - new_length + 1)
+        if local_stop > store._row_start:
+            local = slice(0, local_stop - store._row_start)
+            rows = np.arange(store._row_start, local_stop)
+            neighbors = store._neighbors[local]
+            applicable = (neighbors >= 0) & (neighbors <= n - new_length)
+            if applicable.any():
+                query_tail = values[rows + current][:, np.newaxis]
+                neighbor_tail = np.where(
+                    applicable, values[np.clip(neighbors + current, 0, n - 1)], 0.0
+                )
+                store._dot_products[local] += np.where(
+                    applicable, query_tail * neighbor_tail, 0.0
+                )
+        store._current_length = new_length
 
 
 class TestConstruction:
@@ -25,14 +57,6 @@ class TestConstruction:
         stats = SlidingStats(small_random_series)
         with pytest.raises(InvalidParameterError):
             PartialProfileStore(small_random_series, stats, 16, 0)
-
-    def test_raw_ingest_shim_fails_loudly(self, small_random_series):
-        """The old raw-value entry point must refuse with an explanation,
-        not silently corrupt the now-centered store."""
-        stats = SlidingStats(small_random_series)
-        store = PartialProfileStore(small_random_series, stats, 16, 4)
-        with pytest.raises(InvalidParameterError, match="mean-centered"):
-            store.ingest_base_profile(0, np.zeros(store.num_profiles))
 
     def test_double_ingest_raises(self, small_random_series):
         stats = SlidingStats(small_random_series)
@@ -58,44 +82,51 @@ class TestConstruction:
 
 class TestAdvance:
     def test_cannot_shrink(self, small_random_series):
-        store = _build_store(small_random_series, 16, 4)
-        store.advance_to(20)
-        with pytest.raises(InvalidParameterError):
-            store.advance_to(18)
+        for kernel in STORE_KERNELS:
+            store = _build_store(small_random_series, 16, 4, kernel)
+            store.advance_to(20)
+            with pytest.raises(InvalidParameterError, match="shrink"):
+                store.advance_to(18)
 
     def test_cannot_exceed_series(self, small_random_series):
-        store = _build_store(small_random_series, 16, 4)
-        with pytest.raises(InvalidParameterError):
-            store.advance_to(small_random_series.size + 1)
+        for kernel in STORE_KERNELS:
+            store = _build_store(small_random_series, 16, 4, kernel)
+            with pytest.raises(InvalidParameterError, match="exceeds"):
+                store.advance_to(small_random_series.size + 1)
 
     def test_evaluate_below_base_raises(self, small_random_series):
-        store = _build_store(small_random_series, 16, 4)
-        with pytest.raises(InvalidParameterError):
-            store.evaluate(10)
+        for kernel in STORE_KERNELS:
+            store = _build_store(small_random_series, 16, 4, kernel)
+            with pytest.raises(InvalidParameterError, match="smaller than the base"):
+                store.evaluate(10)
 
     @pytest.mark.parametrize(
         "size,base,capacity", [(200, 16, 4), (200, 16, 32), (257, 24, 8)]
     )
     def test_blocked_advance_is_bitwise_stepwise(self, size, base, capacity):
-        """The blocked multi-step tail update must be *bit-for-bit* equal to
-        the per-step reference loop — including multi-stage resumes and an
-        advance to the full series length."""
+        """The blocked multi-step tail update — numpy and native — must be
+        *bit-for-bit* equal to the per-step reference loop, including
+        multi-stage resumes and an advance to the full series length."""
         values = np.cumsum(np.random.default_rng(size + capacity).normal(size=size))
-        blocked = _build_store(values, base, capacity)
-        stepwise = _build_store(values, base, capacity)
+        advanced = {
+            kernel: _build_store(values, base, capacity, kernel) for kernel in STORE_KERNELS
+        }
+        stepwise = _build_store(values, base, capacity, "numpy")
         targets = [base + 1, base + 7, base + 40, size]
         for target in targets:
-            blocked.advance_to(target)
-            stepwise._advance_to_stepwise(target)
-            assert blocked.current_length == stepwise.current_length == target
-            assert (
-                blocked._dot_products.tobytes() == stepwise._dot_products.tobytes()
-            ), f"dot products diverged advancing to {target}"
-        evaluated = blocked.evaluate(size)
+            _advance_stepwise(stepwise, target)
+            for kernel, store in advanced.items():
+                store.advance_to(target)
+                assert store.current_length == stepwise.current_length == target
+                assert (
+                    store._dot_products.tobytes() == stepwise._dot_products.tobytes()
+                ), f"{kernel} dot products diverged advancing to {target}"
         reference = stepwise.evaluate(size)
-        np.testing.assert_array_equal(evaluated.min_distances, reference.min_distances)
-        np.testing.assert_array_equal(evaluated.min_indices, reference.min_indices)
-        np.testing.assert_array_equal(evaluated.valid, reference.valid)
+        for store in advanced.values():
+            evaluated = store.evaluate(size)
+            np.testing.assert_array_equal(evaluated.min_distances, reference.min_distances)
+            np.testing.assert_array_equal(evaluated.min_indices, reference.min_indices)
+            np.testing.assert_array_equal(evaluated.valid, reference.valid)
 
 
 class TestEvaluationCorrectness:

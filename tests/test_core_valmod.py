@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines.brute_force_range import brute_force_range
 from repro.baselines.stomp_range import stomp_range
 from repro.core.valmod import valmod, valmod_with_config
 from repro.core.config import ValmodConfig
 from repro.exceptions import InvalidParameterError, LengthRangeError
 from repro.generators import generate_planted_motifs
+from repro.matrix_profile.kernels import available_kernels
 
 
 class TestExactness:
@@ -230,3 +232,36 @@ class TestEngineBatchedRecomputations:
             expected = [p.distance for p in oracle.motifs_at(length)]
             observed = [p.distance for p in routed.motifs_at(length)]
             np.testing.assert_allclose(observed, expected, atol=1e-8)
+
+
+class TestPhaseSpans:
+    """The paper's cost split, visible in a trace: one base-pass span, one
+    evaluate span per length and at most one recompute span per length,
+    each tagged with the kernel that ran."""
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_spans_name_each_phase_and_the_kernel_that_ran(
+        self, small_random_series, kernel
+    ):
+        with obs.trace() as collector:
+            result = valmod(small_random_series, 16, 22, profile_capacity=2, kernel=kernel)
+        spans = {}
+        for event in collector.spans():
+            spans.setdefault(event["name"], []).append(event)
+
+        (base,) = spans["valmod.base_pass"]
+        assert base["args"]["kernel"] == kernel
+        (sweep,) = spans["kernel.sweep"]
+        assert sweep["parent_id"] == base["span_id"]
+
+        evaluations = spans["valmod.evaluate"]
+        assert [event["args"]["length"] for event in evaluations] == list(range(17, 23))
+        store_kernel = "native" if kernel == "native" else "numpy"
+        assert {event["args"]["kernel"] for event in evaluations} == {store_kernel}
+
+        recomputes = spans["valmod.recompute"]
+        assert len({event["args"]["length"] for event in recomputes}) == len(recomputes)
+        assert {event["args"]["kernel"] for event in recomputes} == {"mass"}
+        assert sum(event["args"]["profiles"] for event in recomputes) == int(
+            result.extra["total_recomputed_profiles"]
+        )

@@ -14,7 +14,11 @@ promises, each pinned here:
 * the hooks no longer alias the recurrence buffer: ``profile_callback``
   receives a read-only copy plus an owned distances array (safe to keep
   across rows), ``ingest`` receives a read-only view consumed during the
-  call.
+  call;
+* VALMOD's partial-profile store comes out byte for byte the same from
+  every kernel (the native one retains rows in C, ties decided by the
+  retention rule), its native advance and evaluation match the numpy
+  code, and VALMOD reports the same pairs on every kernel.
 
 Zero-variance behaviour (flat and near-flat segments, including at block
 seams) is pinned both at the ``distances_from_dot_products`` convention
@@ -23,6 +27,7 @@ level and through the cross-kernel equality sweeps.
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -30,6 +35,7 @@ import pytest
 
 from repro.api.session import Analysis, EngineConfig
 from repro.baselines.stomp_range import stomp_range
+from repro.core.partial_profile import _STATE_FIELDS, PartialProfileStore
 from repro.core.skimp import skimp
 from repro.core.valmod import valmod
 from repro.engine.partition import partitioned_stomp
@@ -39,6 +45,7 @@ from repro.matrix_profile.distance_profile import distances_from_dot_products
 from repro.matrix_profile.exclusion import default_exclusion_radius
 from repro.matrix_profile.kernels import available_kernels, resolve_kernel, run_sweep
 from repro.matrix_profile.stomp import stomp
+from repro.stats.distance import compensation_needed
 from repro.stats.fft import sliding_dot_product
 from repro.stats.sliding import SlidingStats
 
@@ -62,7 +69,11 @@ def _seam_series(n: int = 320) -> np.ndarray:
 
 SERIES_CASES = {
     "walk": (_walk(300), 32),
-    "offset": (1e6 + _walk(300, seed=11), 32),  # triggers compensated centering
+    # A global offset only: centering removes it, so no compensation.
+    "offset": (1e6 + _walk(300, seed=11), 32),
+    # A level shift survives centering: the centered means dwarf the
+    # stds, which turns on the Dekker-compensated conversions.
+    "shift": (np.concatenate([_walk(150, seed=13), 1e6 + _walk(150, seed=17)]), 32),
     "flat": (np.full(120, 3.25), 16),
     "seam": (_seam_series(), 24),
     "tiny": (_walk(40, seed=5), 8),
@@ -246,37 +257,241 @@ def test_profile_callback_rows_safe_to_keep_across_rows():
 
 
 class _IngestRecorder:
-    """Minimal ingest hook: copies what it keeps, as the contract demands."""
+    """Minimal ingest hook: copies what it keeps, as the contract demands.
+
+    It takes one row or a block of consecutive rows per call.
+    """
 
     def __init__(self):
         self.rows = {}
         self.writeable = []
+        self.ndims = set()
 
     def ingest_centered_profile(self, offset, dot_products):
         self.writeable.append(dot_products.flags.writeable)
-        self.rows[int(offset)] = np.array(dot_products)
+        self.ndims.add(dot_products.ndim)
+        for k, row in enumerate(np.atleast_2d(dot_products)):
+            self.rows[int(offset) + k] = np.array(row)
 
 
 @pytest.mark.parametrize("kernel", ["oracle", *FAST_KERNELS])
 def test_ingest_views_read_only_and_consistent(kernel):
-    """Every kernel feeds ingest the same read-only centered rows.
-
-    A native request with ingest runs the numpy kernel (the compiled loop
-    has no per-row hook), so this also pins that silent downgrade.
-    """
+    """Every kernel hands the hook read-only centered rows equal to the
+    oracle's: one row per call on oracle and numpy, blocks of rows on
+    native."""
     values, window = SERIES_CASES["walk"]
     args = _sweep_args(values, window)
     count = args[3].size
 
     reference = _IngestRecorder()
     run_sweep(*args, 0, count, kernel="oracle", ingest=reference)
-
     recorder = _IngestRecorder()
     run_sweep(*args, 0, count, kernel=kernel, ingest=recorder)
     assert not any(recorder.writeable)
+    assert recorder.ndims == {2 if kernel == "native" else 1}
     assert recorder.rows.keys() == reference.rows.keys()
     for offset, row in reference.rows.items():
         np.testing.assert_array_equal(recorder.rows[offset], row)
+
+
+# --------------------------------------------------------------------- #
+# the partial-profile store on every kernel
+# --------------------------------------------------------------------- #
+def _empty_store(values, window, capacity, kernel=None) -> PartialProfileStore:
+    values = np.asarray(values, dtype=np.float64)
+    return PartialProfileStore(values, SlidingStats(values), window, capacity, kernel=kernel)
+
+
+def _assert_stores_identical(first: PartialProfileStore, second: PartialProfileStore):
+    state_a, state_b = first.export_state(), second.export_state()
+    for field in _STATE_FIELDS:
+        assert state_a[field].tobytes() == state_b[field].tobytes(), field
+
+
+def test_shift_case_runs_compensated():
+    """The ``shift`` case must keep exercising the Dekker branches."""
+    values, window = SERIES_CASES["shift"]
+    stats = SlidingStats(values)
+    means, stds = stats.centered_mean_std(window)
+    assert compensation_needed(means, means, stds)
+    assert stats.conversion_compensated(window + 3)
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+@pytest.mark.parametrize("capacity", [4, 16])
+@pytest.mark.parametrize("reseed", [None, 17])
+@pytest.mark.parametrize("rows", ["full", "partial"])
+def test_store_ingest_bit_equal_across_kernels(case, capacity, reseed, rows):
+    """Oracle, numpy and native sweeps build the same store (or fragment),
+    every retention array equal byte for byte."""
+    values, window = SERIES_CASES[case]
+    args = _sweep_args(values, window)
+    count = args[3].size
+    start, stop = (0, count) if rows == "full" else (count // 3, min(count, count // 3 + 123))
+    built = {}
+    for kernel in ("oracle", *FAST_KERNELS):
+        store = _empty_store(values, window, capacity)
+        target = store if rows == "full" else store.split((start, stop))
+        run_sweep(*args, start, stop, kernel=kernel, reseed_interval=reseed, ingest=target)
+        assert target.export_state()["populated"].all()
+        built[kernel] = target
+    for kernel in FAST_KERNELS:
+        _assert_stores_identical(built[kernel], built["oracle"])
+
+
+@pytest.mark.parametrize("kernel", ["oracle", *FAST_KERNELS])
+def test_store_retention_breaks_ties_by_offset(kernel):
+    """More tied candidates than ``p``: the rule, not a sort, picks them.
+
+    A flat run yields dozens of constant windows, each pinned at
+    correlation 1.0 against any non-constant query.  Every such row must
+    keep the ``p`` lowest constant offsets outside its trivial-match zone,
+    in offset order, with the pruned ceiling at 1.0 and the row marked
+    unbounded (a constant neighbour went unretained).
+    """
+    window, capacity = 16, 4
+    values = _walk(260, seed=21)
+    values[40:100] = values[40]
+    args = _sweep_args(values, window)
+    stds, radius, count = args[4], args[2], args[3].size
+    store = _empty_store(values, window, capacity)
+    run_sweep(*args, 0, count, kernel=kernel, ingest=store)
+    state = store.export_state()
+    constant = np.flatnonzero(stds == 0.0)
+    checked = 0
+    for row in np.flatnonzero(stds > 0.0):
+        tied = constant[np.abs(constant - row) > radius]
+        if tied.size <= capacity:
+            continue
+        checked += 1
+        assert state["neighbors"][row].tolist() == tied[:capacity].tolist(), row
+        assert np.all(state["base_correlations"][row] == 1.0)
+        assert state["pruned_correlation_ceiling"][row] == 1.0
+        assert state["unbounded"][row]
+    assert checked > 100
+    # Constant queries retain nothing and disable pruning.
+    assert np.all(state["unbounded"][constant])
+    assert np.all(state["neighbors"][constant] == -1)
+
+
+@pytest.mark.skipif("native" not in FAST_KERNELS, reason="no compiled kernel")
+def test_native_ingest_keeps_store_checks():
+    """The C ingest raises the per-row errors of ingest_centered_profile."""
+    values, window = SERIES_CASES["walk"]
+    args = _sweep_args(values, window)
+    count = args[3].size
+    store = _empty_store(values, window, 4)
+    run_sweep(*args, 0, 10, kernel="native", ingest=store)
+    with pytest.raises(InvalidParameterError, match="profile 5 was already ingested"):
+        run_sweep(*args, 5, 20, kernel="native", ingest=store)
+    fragment = _empty_store(values, window, 4).split((30, 60))
+    with pytest.raises(InvalidParameterError, match="profile 60 is outside"):
+        run_sweep(*args, 40, 70, kernel="native", ingest=fragment)
+    with pytest.raises(InvalidParameterError, match="profile 20 is outside"):
+        run_sweep(*args, 20, 40, kernel="native", ingest=fragment)
+    short = _empty_store(values[:-1], window, 4)
+    with pytest.raises(InvalidParameterError, match="dot products"):
+        run_sweep(*args, 0, 10, kernel="native", ingest=short)
+
+
+def test_block_ingest_equals_row_ingest(monkeypatch):
+    """A 2-D block of consecutive rows builds the store that one row per
+    call builds: in C when the compiled kernel is loaded, row by row in
+    numpy without it (the ``shift`` case runs the compensated branches)."""
+    values, window = SERIES_CASES["shift"]
+    args = _sweep_args(values, window)
+    count = args[3].size
+    reference = _IngestRecorder()
+    run_sweep(*args, 0, count, kernel="oracle", ingest=reference)
+    rows = np.array([reference.rows[offset] for offset in range(count)])
+    by_row = _empty_store(values, window, 4)
+    for offset in range(count):
+        by_row.ingest_centered_profile(offset, rows[offset])
+
+    def by_blocks():
+        store = _empty_store(values, window, 4)
+        for first in range(0, count, 37):
+            store.ingest_centered_profile(first, rows[first : first + 37])
+        return store
+
+    _assert_stores_identical(by_blocks(), by_row)
+    monkeypatch.setattr(_native, "load", lambda: None)
+    _assert_stores_identical(by_blocks(), by_row)
+
+
+@pytest.mark.skipif("native" not in FAST_KERNELS, reason="no compiled kernel")
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_store_evaluate_bit_equal_native_vs_numpy(case):
+    """Advance + evaluate in C vs numpy, length by length, every output
+    array equal byte for byte — the ``shift`` case on the compensated
+    branches."""
+    values, window = SERIES_CASES[case]
+    stores = {}
+    for kernel in ("numpy", "native"):
+        store = _empty_store(values, window, 8, kernel=kernel)
+        assert store.kernel == kernel
+        stomp(values, window, stats=store._stats, ingest_store=store, kernel=kernel)
+        stores[kernel] = store
+    last = min(values.size, window + 24)
+    for length in range(window, last + 1):
+        numpy_eval = stores["numpy"].evaluate(length)
+        native_eval = stores["native"].evaluate(length)
+        for field in ("min_distances", "min_indices", "max_lower_bounds", "valid"):
+            assert (
+                getattr(numpy_eval, field).tobytes() == getattr(native_eval, field).tobytes()
+            ), (length, field)
+    assert (
+        stores["numpy"]._dot_products.tobytes() == stores["native"]._dot_products.tobytes()
+    )
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_valmod_identical_across_kernels(case):
+    """VALMOD end to end: same pairs (distance bits included) and the same
+    pruning statistics on every kernel."""
+    values, window = SERIES_CASES[case]
+    results = {
+        kernel: valmod(values, window, window + 4, profile_capacity=4, kernel=kernel)
+        for kernel in ("oracle", *FAST_KERNELS)
+    }
+    reference = results["oracle"]
+    for kernel, result in results.items():
+        for length, outcome in reference.length_results.items():
+            got = result.length_results[length]
+            assert [
+                (p.offset_a, p.offset_b, p.distance.hex()) for p in got.motifs
+            ] == [(p.offset_a, p.offset_b, p.distance.hex()) for p in outcome.motifs], (
+                kernel,
+                length,
+            )
+            assert got.pruning == outcome.pruning, (kernel, length)
+
+
+@pytest.mark.skipif("native" not in FAST_KERNELS, reason="no compiled kernel")
+def test_native_first_load_is_serialised(tmp_path, monkeypatch):
+    """Threads racing the first compile all get the library and nobody
+    warns: the second caller waits for the first attempt's outcome."""
+    monkeypatch.setenv(_native.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(kernels, "_warned_native_fallback", False)
+    _native.reset()
+    barrier = threading.Barrier(2)
+    resolved = [None, None]
+
+    def resolve(slot):
+        barrier.wait()
+        resolved[slot] = resolve_kernel("native")
+
+    try:
+        threads = [threading.Thread(target=resolve, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert resolved == ["native", "native"]
+        assert not kernels._warned_native_fallback
+        assert _native.unavailable_reason() is None
+    finally:
+        _native.reset()
 
 
 # --------------------------------------------------------------------- #

@@ -9,7 +9,8 @@ The tentpole claim of the mergeable-store refactor, pinned here:
   its task, fragments merge in block order) reproduces the serial-sweep
   store — pairs identical, distances within 1e-12 — and the parallel
   executor path is bit-identical to the serial executor path for the
-  same block plan;
+  same block plan, on the numpy kernel and (with a C compiler) on the
+  native kernel, whose fragments are retained in C;
 * the centered store closes the last accuracy gap: VALMOD's reported
   distances at offset 1e6 now sit at ~1e-6 versus brute force (pinned at
   1e-5; the raw store contract carried ~1e-3).
@@ -29,11 +30,15 @@ from repro.engine.partition import partitioned_stomp
 from repro.exceptions import InvalidParameterError
 from repro.matrix_profile.brute_force import brute_force_matrix_profile
 from repro.matrix_profile.exclusion import default_exclusion_radius
+from repro.matrix_profile.kernels import available_kernels
 from repro.matrix_profile.stomp import stomp
 from repro.stats.sliding import SlidingStats
 
 BASE = 20
 CAPACITY = 8
+#: Kernels that fill engine-block fragments: numpy feeds row views, native
+#: retains in C; both must build the same fragments.
+BLOCK_KERNELS = [name for name in ("numpy", "native") if name in available_kernels()]
 
 
 def _series(seed: int, n: int = 320, offset: float = 0.0) -> np.ndarray:
@@ -116,31 +121,43 @@ class TestSplitMergeEquivalence:
         serial = PartialProfileStore(values, stats, BASE, CAPACITY)
         stomp(values, BASE, stats=stats, ingest_store=serial)
 
-        stats_blocked = SlidingStats(values)
-        blocked = PartialProfileStore(values, stats_blocked, BASE, CAPACITY)
-        partitioned_stomp(
-            values,
-            BASE,
-            stats=stats_blocked,
-            executor="serial",
-            block_size=block_size,
-            ingest_store=blocked,
-        )
+        blocked_stores = {}
+        for kernel in BLOCK_KERNELS:
+            stats_blocked = SlidingStats(values)
+            blocked = PartialProfileStore(
+                values, stats_blocked, BASE, CAPACITY, kernel=kernel
+            )
+            partitioned_stomp(
+                values,
+                BASE,
+                stats=stats_blocked,
+                executor="serial",
+                block_size=block_size,
+                ingest_store=blocked,
+                kernel=kernel,
+            )
+            blocked_stores[kernel] = blocked
+        # Same block plan, different kernels: the same store bit for bit.
+        for blocked in blocked_stores.values():
+            _assert_states_identical(blocked, blocked_stores["numpy"])
 
         for length in (BASE, BASE + 4, BASE + 12):
             eval_serial = serial.evaluate(length)
-            eval_blocked = blocked.evaluate(length)
-            np.testing.assert_array_equal(
-                eval_serial.min_indices, eval_blocked.min_indices
-            )
-            finite = np.isfinite(eval_serial.min_distances)
-            np.testing.assert_array_equal(finite, np.isfinite(eval_blocked.min_distances))
-            np.testing.assert_allclose(
-                eval_serial.min_distances[finite],
-                eval_blocked.min_distances[finite],
-                atol=1e-11,
-                rtol=0,
-            )
+            for blocked in blocked_stores.values():
+                eval_blocked = blocked.evaluate(length)
+                np.testing.assert_array_equal(
+                    eval_serial.min_indices, eval_blocked.min_indices
+                )
+                finite = np.isfinite(eval_serial.min_distances)
+                np.testing.assert_array_equal(
+                    finite, np.isfinite(eval_blocked.min_distances)
+                )
+                np.testing.assert_allclose(
+                    eval_serial.min_distances[finite],
+                    eval_blocked.min_distances[finite],
+                    atol=1e-11,
+                    rtol=0,
+                )
 
     def test_parallel_executor_ingest_is_bit_identical_to_serial_executor(self):
         """Same block plan through the process pool (worker-side fragments,
@@ -151,20 +168,6 @@ class TestSplitMergeEquivalence:
         values = _series(11, n=500)
         block_size = 83
 
-        stats_parallel = SlidingStats(values)
-        parallel_store = PartialProfileStore(values, stats_parallel, BASE, CAPACITY)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with ParallelExecutor(n_jobs=2) as executor:
-                partitioned_stomp(
-                    values,
-                    BASE,
-                    stats=stats_parallel,
-                    executor=executor,
-                    block_size=block_size,
-                    ingest_store=parallel_store,
-                )
-
         stats_serial = SlidingStats(values)
         serial_store = PartialProfileStore(values, stats_serial, BASE, CAPACITY)
         partitioned_stomp(
@@ -174,8 +177,27 @@ class TestSplitMergeEquivalence:
             executor="serial",
             block_size=block_size,
             ingest_store=serial_store,
+            kernel="numpy",
         )
-        _assert_states_identical(parallel_store, serial_store)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with ParallelExecutor(n_jobs=2) as executor:
+                for kernel in BLOCK_KERNELS:
+                    stats_parallel = SlidingStats(values)
+                    parallel_store = PartialProfileStore(
+                        values, stats_parallel, BASE, CAPACITY
+                    )
+                    partitioned_stomp(
+                        values,
+                        BASE,
+                        stats=stats_parallel,
+                        executor=executor,
+                        block_size=block_size,
+                        ingest_store=parallel_store,
+                        kernel=kernel,
+                    )
+                    _assert_states_identical(parallel_store, serial_store)
 
 
 class TestMergeValidation:
