@@ -192,8 +192,6 @@ def _mp_stomp(session, window: int, **options):
             n_jobs=engine.n_jobs,
             block_size=engine.block_size,
             kernel=engine.kernel,
-            segment_pool=session.segment_pool,
-            segment_key=session.segment_key(window),
             **options,
         )
     return stomp(

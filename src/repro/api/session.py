@@ -54,7 +54,6 @@ from repro.api.cache import (
 from repro.api.registry import resolve_algorithm
 from repro.api.requests import AnalysisRequest, AnalysisResult, canonical_cache_key
 from repro.engine.executor import Executor
-from repro.engine.shm import SharedSegmentPool
 from repro.exceptions import InvalidParameterError, SerializationError
 from repro.matrix_profile.kernels import validate_kernel
 from repro.series.dataseries import DataSeries, as_series
@@ -186,16 +185,8 @@ class Analysis:
         store=None,
         index=None,
     ) -> None:
-        self._blob_handle = None
         if isinstance(series, str):
-            digest = series
-            series = self._resolve_digest(digest, store)
-            # Remember the store blob behind this series: engine batches can
-            # then ship a ~100-byte BlobHandle to process workers instead of
-            # pickling (or shm-repacking) the O(n) values.
-            handle_of = getattr(store, "handle", None)
-            if callable(handle_of):
-                self._blob_handle = handle_of(digest)
+            series = self._resolve_digest(series, store)
         self._series = as_series(series, name=name)
         if engine is None:
             engine = EngineConfig()
@@ -217,7 +208,6 @@ class Analysis:
         )
         self._index = index
         self._digest: str | None = None
-        self._segments: SharedSegmentPool | None = None
         self._closed = False
         self._hits = 0
         self._misses = 0
@@ -281,50 +271,22 @@ class Analysis:
         return self._stats
 
     @property
-    def segment_pool(self) -> SharedSegmentPool:
-        """The session's digest-keyed shared-memory segment pool.
-
-        Engine-backed profile runs acquire their packed series segment here
-        (see :meth:`segment_key`), so the pack and the per-worker copy are
-        paid **once per series per session** instead of once per call.  The
-        session owns the segments: :meth:`close` unlinks them.  Created
-        lazily — sessions that never route through a process executor never
-        touch shared memory.
-        """
-        if self._segments is None or self._closed:
-            self._segments = SharedSegmentPool()
-            self._closed = False
-        return self._segments
-
-    def segment_key(self, window: int) -> str:
-        """Pool key of the packed arrays for one window length.
-
-        The packed segment holds the centered series *and* the per-window
-        statistics (means, stds, seeding dot products), so the identity is
-        the series content digest plus the window.
-        """
-        return f"{self.series_digest}:w{int(window)}"
-
-    @property
     def closed(self) -> bool:
-        """Whether :meth:`close` has run (the session remains usable —
-        engine resources are simply re-created on demand)."""
+        """Whether :meth:`close` has run.
+
+        Purely informational: a closed session remains fully usable,
+        because :meth:`close` releases nothing.
+        """
         return self._closed
 
     def close(self) -> None:
-        """Release the session's engine resources (idempotent).
+        """Mark the session closed (idempotent); this releases nothing.
 
-        Unlinks every shared-memory segment the session registered.  The
-        caches are left alone: the in-memory results die with the object
-        anyway and the persistent spill exists to outlive it.  Long-lived
-        owners (the service's session pool) call this on eviction; ad-hoc
-        users get it from the context-manager form::
-
-            with repro.analyze(series, engine="parallel") as session:
-                ...
+        A session owns no engine resources: every engine call packs its own
+        shared-memory segment and unlinks it before returning, the in-memory
+        results die with the object, and the persistent spill exists to
+        outlive it.  A closed session stays fully usable.
         """
-        if self._segments is not None:
-            self._segments.close()
         self._closed = True
 
     def __enter__(self) -> "Analysis":
@@ -332,13 +294,6 @@ class Analysis:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            if not getattr(self, "_closed", True):
-                self.close()
-        except Exception:
-            pass
 
     def __len__(self) -> int:
         return len(self._series)
@@ -655,18 +610,9 @@ class Analysis:
         """Dispatch plain STOMP requests as one engine batch."""
         from repro.engine.batch import ProfileJob, compute_profiles
 
-        series_ref: object = self.values
-        if self._engine.enabled and self._blob_handle is not None:
-            # Store-resolved sessions hand workers the blob handle: each
-            # worker memory-maps the catalog file directly (zero-copy)
-            # instead of receiving a pickled or shm-repacked array.
-            from pathlib import Path
-
-            if Path(self._blob_handle.path).is_file():
-                series_ref = self._blob_handle
         jobs = [
             ProfileJob(
-                series_ref,
+                self.values,
                 window=int(requests[index].params["window"]),
                 exclusion_radius=requests[index].params.get("exclusion_radius"),
                 block_size=self._engine.block_size,

@@ -16,9 +16,10 @@ work is scheduled:
   (series, window / length-range) jobs through one executor, with shared
   sliding-statistics reuse and per-job error isolation.
 * :mod:`repro.engine.shm` — :class:`SharedSeriesBuffer`: the block
-  arrays packed once into a ``multiprocessing.shared_memory`` segment so
-  process-pool payloads carry a name instead of pickled O(n) arrays,
-  with automatic fallback to pickling when shared memory is unavailable.
+  arrays packed once per engine call into a ``multiprocessing.shared_memory``
+  segment that the call unlinks when its map returns, so process-pool
+  payloads carry a name instead of pickled O(n) arrays, with automatic
+  fallback to pickling when shared memory is unavailable.
 
 The serial single-sweep implementations remain the defaults and the
 correctness oracles everywhere; the engine is opted into with the

@@ -31,11 +31,12 @@ hundred bytes regardless of series length, so a thousand-job fan-out over
 one ten-million-point series ships kilobytes instead of eighty gigabytes.
 Array-backed jobs that *share* one series object are rewritten onto this
 transport automatically before a process-pool dispatch (see
-``_prepare_parallel_tasks``) — the per-job O(n) pickle the parallel path
-used to pay was a bug, not a contract.  Workers resolve a handle once per
-process (the attach caches in :mod:`repro.engine.shm`) and share the
-``O(n)`` sliding statistics across jobs on the same handle through a
-small per-process cache.
+``_prepare_parallel_tasks``): one segment per :func:`compute_profiles`
+call, unlinked when its map returns — the per-job O(n) pickle the parallel
+path used to pay was a bug, not a contract.  Workers map a blob once per
+process and copy a segment out once per job, and share the ``O(n)``
+sliding statistics across jobs on the same handle through a small
+per-process cache.
 """
 
 from __future__ import annotations
@@ -250,9 +251,9 @@ def _series_cache_key(series: object) -> tuple:
 def _resolve_series(series: object) -> np.ndarray:
     """Materialise ``job.series`` into a validated float64 array.
 
-    Handles resolve through the per-process attach caches in
-    :mod:`repro.engine.shm`, so a worker maps each distinct blob/segment
-    once no matter how many jobs reference it.
+    A blob handle resolves through the per-process blob cache in
+    :mod:`repro.engine.shm` (one mapping per blob per worker); a segment
+    handle is copied out per job.
     """
     if isinstance(series, BlobHandle):
         return validate_series(attach_blob(series))

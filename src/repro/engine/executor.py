@@ -151,9 +151,9 @@ class ParallelExecutor(Executor):
         """True only when a pool actually exists (forces lazy creation).
 
         A degraded executor runs tasks in-process, where shared-memory
-        transport would be pure overhead — worse, the parent would attach
-        to its own segments and pin their mappings for the process
-        lifetime (see :func:`repro.engine.shm.attach_arrays`).
+        transport would be pure overhead: every task would copy back out
+        the arrays the parent already holds (see
+        :func:`repro.engine.shm.attach_arrays`).
         """
         return self._ensure_pool() is not None
 

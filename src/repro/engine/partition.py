@@ -38,11 +38,12 @@ Series transport
 ----------------
 Process-pool payloads do not pickle the O(n) arrays (series, means, stds,
 first-row products) into every task: when the platform provides
-``multiprocessing.shared_memory`` the arrays are packed once into a
-:class:`~repro.engine.shm.SharedSeriesBuffer` and each payload carries
-only the segment handle; workers attach by name and cache the mapping per
-process.  When shared memory is unavailable the payloads fall back to
-carrying the arrays (slower, never wrong).
+``multiprocessing.shared_memory`` each call packs the arrays once into a
+:class:`~repro.engine.shm.SharedSeriesBuffer`, each payload carries only
+the segment handle, and the call unlinks the segment when its ``map``
+returns.  Workers attach by name and copy the arrays out once per task.
+When shared memory is unavailable the payloads fall back to carrying the
+arrays (slower, never wrong).
 
 Re-seeding and numerical drift
 ------------------------------
@@ -77,12 +78,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.executor import Executor, resolve_executor
-from repro.engine.shm import (
-    SharedArraysHandle,
-    SharedSegmentPool,
-    SharedSeriesBuffer,
-    attach_arrays,
-)
+from repro.engine.shm import SharedArraysHandle, SharedSeriesBuffer, attach_arrays
 from repro.exceptions import InvalidParameterError
 from repro.matrix_profile.exclusion import default_exclusion_radius
 from repro.matrix_profile.kernels import run_sweep
@@ -289,8 +285,6 @@ def partitioned_stomp(
     stats: SlidingStats | None = None,
     profile_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     ingest_store=None,
-    segment_pool: SharedSegmentPool | None = None,
-    segment_key: str | None = None,
 ) -> MatrixProfile:
     """Exact matrix profile via block-partitioned STOMP.
 
@@ -333,18 +327,6 @@ def partitioned_stomp(
         rows into a store fragment (inside the worker, when parallel) and
         the fragments are merged back here in block order — the
         block-parallel replacement for VALMOD's old per-row callback.
-    segment_pool, segment_key:
-        Opt-in segment reuse across calls: with both given (and a process
-        executor), the packed series segment is acquired from the
-        :class:`~repro.engine.shm.SharedSegmentPool` under ``segment_key``
-        instead of created fresh — a repeat call with the same key skips
-        the pack *and* the seeding FFT, and each worker's attach-cache hit
-        skips the copy.  The pool's owner (the
-        :class:`~repro.api.Analysis` session keys it by series digest plus
-        window) is responsible for unlinking; this function never unlinks
-        a pooled segment.  The caller must guarantee the key uniquely
-        names the packed content — series values, ``window`` and the
-        statistics they derive.
     """
     values = validate_series(series)
     window = validate_subsequence_length(values.size, window)
@@ -380,29 +362,11 @@ def partitioned_stomp(
             ingest_store.lower_bound_kind,
         )
 
-    # The seeding FFT is deferred: on a segment-pool hit the packed
-    # first-row products already live in the segment, so a repeat call
-    # skips this O(n log n) pass along with the pack itself.
-    first_row_dots: np.ndarray | None = None
-
-    def seed_dots() -> np.ndarray:
-        nonlocal first_row_dots
-        if first_row_dots is None:
-            first_row_dots = sliding_dot_product(sweep_values[:window], sweep_values)
-        return first_row_dots
-
-    def packed_arrays() -> dict:
-        return {
-            "values": sweep_values,
-            "means": means,
-            "stds": stds,
-            "first_row_dots": seed_dots(),
-        }
-
     _STOMP_CALLS.inc()
     stomp_span = obs.span("engine.stomp", window=int(window), rows=int(count))
     stomp_span.__enter__()
     try:
+        first_row_dots = sliding_dot_product(sweep_values[:window], sweep_values)
         chosen_executor, owned = resolve_executor(
             executor, task_units=count, n_jobs=n_jobs
         )
@@ -419,7 +383,7 @@ def partitioned_stomp(
                         radius,
                         means,
                         stds,
-                        seed_dots(),
+                        first_row_dots,
                         start,
                         stop,
                         reseed_interval,
@@ -431,20 +395,22 @@ def partitioned_stomp(
                 ]
             else:
                 # Shared memory only pays off across a process boundary; a
-                # degraded pool runs in-process, where the parent would attach
-                # to its own segment and pin the mapping for nothing.
+                # degraded pool runs in-process, where every task would copy
+                # back out the arrays the parent already holds.
                 buffer = None
-                pooled = False
                 if chosen_executor.uses_processes:
-                    if segment_pool is not None and segment_key is not None:
-                        buffer = segment_pool.acquire(segment_key, packed_arrays)
-                        pooled = buffer is not None
-                    if buffer is None:
-                        buffer = SharedSeriesBuffer.create(packed_arrays())
+                    buffer = SharedSeriesBuffer.create(
+                        {
+                            "values": sweep_values,
+                            "means": means,
+                            "stds": stds,
+                            "first_row_dots": first_row_dots,
+                        }
+                    )
                 arrays_ref = (
                     buffer.handle
                     if buffer is not None
-                    else (sweep_values, means, stds, seed_dots())
+                    else (sweep_values, means, stds, first_row_dots)
                 )
                 try:
                     # Tasks crossing a process boundary carry the trace and
@@ -477,10 +443,7 @@ def partitioned_stomp(
                         harvested.append(item)
                     results = harvested
                 finally:
-                    # A pooled segment belongs to its pool's owner (the
-                    # session) and stays mapped for the next call on the
-                    # same key.
-                    if buffer is not None and not pooled:
+                    if buffer is not None:
                         buffer.close()
                         buffer.unlink()
         finally:

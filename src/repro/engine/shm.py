@@ -8,8 +8,7 @@ gigabytes of redundant copying.  :class:`SharedSeriesBuffer` instead packs
 the arrays once into a single :mod:`multiprocessing.shared_memory` segment
 and the payload carries only the segment *name* plus an offset table
 (:class:`SharedArraysHandle`, a few hundred bytes).  Workers attach by
-name, copy the arrays out once, and cache the copies per process so a
-reused pool pays the transfer cost once per segment, not once per task.
+name and copy the arrays out once per task.
 
 Availability and fallback
 -------------------------
@@ -23,12 +22,15 @@ exists in the parent but cannot be opened in a child degrades the same way
 (the handle resolution raises and the caller's payload fallback applies
 before dispatch, not after).
 
-Lifetime: the creating process owns the segment — ``close()`` + ``unlink()``
-after the pool map returns (the context manager does both).  Workers never
-hold a mapping past the attach call itself: :func:`attach_arrays` copies
-the arrays out and closes its attachment immediately, so the data it
-returns is decoupled from the segment's fate (on Linux an unlinked segment
-persists until the last mapping closes, so a mid-copy unlink is safe too).
+Lifetime: a segment belongs to the one engine call that packs it.  The
+creating process ``close()``s and ``unlink()``s it when the pool map
+returns (the context manager does both); nothing keeps a segment alive
+across calls, so an abandoned session or a stopped service has none to
+release.  Workers never hold a mapping past the attach call itself:
+:func:`attach_arrays` copies the arrays out and closes its attachment
+immediately, so the data it returns is decoupled from the segment's fate
+(on Linux an unlinked segment persists until the last mapping closes, so a
+mid-copy unlink is safe too).
 Resource-tracker bookkeeping stays with the creator: pool workers talk to
 the same tracker process, where the attach-side registration is idempotent
 and ``unlink()`` performs the single matching unregister (see the note in
@@ -38,10 +40,8 @@ and ``unlink()`` performs the single matching unregister (see the note in
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -57,36 +57,11 @@ __all__ = [
     "SharedArraysHandle",
     "BlobHandle",
     "SharedSeriesBuffer",
-    "SharedSegmentPool",
     "attach_arrays",
     "attach_blob",
     "shared_memory_available",
-    "ATTACH_CACHE_MAX_BYTES",
     "BLOB_CACHE_MAX_BYTES",
-    "DEFAULT_SEGMENT_POOL_MAX_BYTES",
 ]
-
-#: Byte cap of the per-process attach cache.  Digest-keyed segments live for
-#: a whole :class:`~repro.api.Analysis` session, so a worker may legitimately
-#: hold copies of several hot series at once (one per session it serves) —
-#: an entry *count* would evict live series under multi-session traffic while
-#: a byte bound keeps worker memory proportional to the data actually hot.
-#: 256 MiB holds ~8 packed four-million-point series.
-ATTACH_CACHE_MAX_BYTES = 256 * 1024 * 1024
-
-#: Per-process cache of attached segments: segment name -> private copies of
-#: the packed arrays, evicted oldest-first once the byte cap is exceeded
-#: (the entry being inserted always stays — evicting the arrays the current
-#: task is about to use would thrash).
-_ATTACH_CACHE: "Dict[str, Dict[str, np.ndarray]]" = {}
-_ATTACH_CACHE_BYTES: "Dict[str, int]" = {}
-
-#: Default byte cap of a :class:`SharedSegmentPool`.  A session sweeping
-#: many window lengths registers one segment per window; without a bound
-#: that is an unbounded claim on /dev/shm.  256 MiB of packed segments
-#: (~4 arrays x 8 bytes x n per window) is far beyond the interactive
-#: pattern while keeping a long-lived service session finite.
-DEFAULT_SEGMENT_POOL_MAX_BYTES = 256 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -122,11 +97,6 @@ _SHM_METRICS = obs.scope("engine.shm")
 _BLOB_ATTACH_HITS = _SHM_METRICS.counter("blob_attach_hits")
 _BLOB_ATTACH_MISSES = _SHM_METRICS.counter("blob_attach_misses")
 _BLOB_VERIFY_FAILURES = _SHM_METRICS.counter("blob_verify_failures")
-_ARRAY_ATTACH_HITS = _SHM_METRICS.counter("array_attach_hits")
-_ARRAY_ATTACH_MISSES = _SHM_METRICS.counter("array_attach_misses")
-_SEGMENT_HITS = _SHM_METRICS.counter("segment_pool_hits")
-_SEGMENT_CREATES = _SHM_METRICS.counter("segment_pool_creates")
-_SEGMENT_EVICTIONS = _SHM_METRICS.counter("segment_pool_evictions")
 
 
 @dataclass(frozen=True)
@@ -300,139 +270,19 @@ class SharedSeriesBuffer:
         self.unlink()
 
 
-class SharedSegmentPool:
-    """Parent-side registry of shared-memory segments keyed by content.
-
-    One ``partitioned_stomp`` call used to create a fresh uniquely-named
-    segment and unlink it when its ``map`` returned — so the per-worker
-    attach cache (keyed by segment *name*) could never hit across calls,
-    and every call on the same series re-paid the pack **and** the
-    per-worker copy.  The pool gives segments an identity that outlives a
-    call: the owner (an :class:`~repro.api.Analysis` session) keys them by
-    series content digest plus window, :meth:`acquire` returns the live
-    segment on every later call with the same key, and the segments are
-    unlinked exactly once — on :meth:`close`, i.e. when the session closes.
-
-    Creation failures keep the engine's fallback contract:
-    :meth:`acquire` returns ``None`` when the platform cannot host the
-    segment, and the caller ships pickled arrays instead.  Thread-safe —
-    the service layer runs sessions from executor threads.
-
-    ``max_bytes`` bounds the pooled payload bytes (LRU eviction beyond it,
-    the segment just acquired always stays): a session sweeping hundreds of
-    window lengths must not turn into an unbounded /dev/shm claim.
-    """
-
-    def __init__(self, max_bytes: int | None = DEFAULT_SEGMENT_POOL_MAX_BYTES) -> None:
-        if max_bytes is not None and int(max_bytes) < 1:
-            raise InvalidParameterError(f"max_bytes must be >= 1, got {max_bytes}")
-        self._segments: "OrderedDict[str, SharedSeriesBuffer]" = OrderedDict()
-        self._max_bytes = None if max_bytes is None else int(max_bytes)
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def acquire(
-        self,
-        key: str,
-        arrays_factory: Callable[[], Mapping[str, np.ndarray]],
-    ) -> "SharedSeriesBuffer | None":
-        """The segment registered under ``key``, created on first use.
-
-        ``arrays_factory`` is only called when the segment does not exist
-        yet (packing is the cost the pool exists to amortise).  Returns
-        ``None`` when shared memory is unavailable; the failure is not
-        cached, so a transient condition (``/dev/shm`` momentarily full)
-        heals on a later call.
-        """
-        evicted: list = []
-        with self._lock:
-            if self._closed:
-                raise InvalidParameterError("this segment pool is already closed")
-            buffer = self._segments.get(key)
-            if buffer is None:
-                buffer = SharedSeriesBuffer.create(arrays_factory())
-                if buffer is None:
-                    return None
-                self._segments[key] = buffer
-                _SEGMENT_CREATES.inc()
-            else:
-                self._segments.move_to_end(key)
-                _SEGMENT_HITS.inc()
-            if self._max_bytes is not None:
-                total = sum(
-                    segment.handle.total_elements * 8
-                    for segment in self._segments.values()
-                )
-                while total > self._max_bytes and len(self._segments) > 1:
-                    _, coldest = self._segments.popitem(last=False)
-                    total -= coldest.handle.total_elements * 8
-                    evicted.append(coldest)
-                    _SEGMENT_EVICTIONS.inc()
-        # Unlink outside the pool lock.  NOTE: the caller that last used an
-        # evicted segment has either finished its map() (segments are only
-        # touched between acquire() and the executor map returning) or is
-        # the current caller — whose segment is never evicted.
-        for segment in evicted:
-            segment.close()
-            segment.unlink()
-        return buffer
-
-    def release(self, key: str) -> None:
-        """Unlink one segment early (idempotent)."""
-        with self._lock:
-            buffer = self._segments.pop(key, None)
-        if buffer is not None:
-            buffer.close()
-            buffer.unlink()
-
-    def close(self) -> None:
-        """Unlink every owned segment (idempotent, the owner's last word)."""
-        with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-            self._closed = True
-        for buffer in segments:
-            buffer.close()
-            buffer.unlink()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._segments)
-
-    def keys(self) -> list:
-        """The registered keys (for stats and tests)."""
-        with self._lock:
-            return list(self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        """Summed payload bytes of every live segment."""
-        with self._lock:
-            return sum(
-                buffer.handle.total_elements * 8
-                for buffer in self._segments.values()
-            )
-
-    def __enter__(self) -> "SharedSegmentPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def attach_arrays(handle: SharedArraysHandle) -> Dict[str, np.ndarray]:
-    """Read the packed arrays of ``handle``, cached per process.
+    """Read the packed arrays of ``handle`` into private read-only copies.
 
     Called inside worker processes (and in the degraded in-process case —
     attaching to a segment the same process created works identically).
-    The arrays are **private read-only copies**: the segment is attached,
-    copied out, and closed again immediately, so the returned arrays have
-    no lifetime coupling to the segment (the creator may unlink it, the
-    cache may evict the entry — nothing a caller holds ever dangles;
-    ``SharedMemory.__del__`` closes mappings on collection, so zero-copy
-    views would silently alias recycled memory).  One copy per segment per
-    process replaces one pickle per *task*, which is where the transport
-    wins.
+    The segment is attached, copied out, and closed again before this
+    returns, so the returned arrays have no lifetime coupling to the
+    segment: the creator may unlink it and nothing a caller holds ever
+    dangles (``SharedMemory.__del__`` closes mappings on collection, so
+    zero-copy views would silently alias recycled memory).  One copy per
+    task replaces one pickle of the same arrays per task; nothing is
+    cached, because a segment never outlives the engine call that packed
+    it.
 
     Raises whatever the platform raises when the segment cannot be opened;
     callers decide the fallback *before* dispatch, so an attach failure here
@@ -442,38 +292,23 @@ def attach_arrays(handle: SharedArraysHandle) -> Dict[str, np.ndarray]:
         raise InvalidParameterError(
             "multiprocessing.shared_memory is unavailable in this interpreter"
         )
-    cached = _ATTACH_CACHE.get(handle.shm_name)
-    if cached is not None:
-        _ARRAY_ATTACH_HITS.inc()
-    else:
-        _ARRAY_ATTACH_MISSES.inc()
-        # NOTE on the resource tracker: CPython (< 3.13) registers every
-        # SharedMemory — attachments included — with the tracker.  Pool
-        # workers share the parent's tracker process (the fd travels with
-        # fork/spawn prep data), where registration is idempotent and the
-        # creator's unlink() performs the single matching unregister, so no
-        # explicit deregistration is needed here (an extra unregister would
-        # make the creator's unlink KeyError inside the tracker).
-        shm = _shared_memory.SharedMemory(name=handle.shm_name, create=False)
-        try:
-            packed = np.array(
-                np.ndarray(
-                    (handle.total_elements,), dtype=np.float64, buffer=shm.buf
-                )
-            )
-        finally:
-            shm.close()
-        cached = {}
-        for key, offset, count in handle.fields:
-            array = packed[offset : offset + count]
-            array.flags.writeable = False
-            cached[key] = array
-        size = int(packed.nbytes)
-        total = sum(_ATTACH_CACHE_BYTES.values()) + size
-        while _ATTACH_CACHE and total > ATTACH_CACHE_MAX_BYTES:
-            evicted = next(iter(_ATTACH_CACHE))
-            _ATTACH_CACHE.pop(evicted)
-            total -= _ATTACH_CACHE_BYTES.pop(evicted)
-        _ATTACH_CACHE[handle.shm_name] = cached
-        _ATTACH_CACHE_BYTES[handle.shm_name] = size
-    return dict(cached)
+    # NOTE on the resource tracker: CPython (< 3.13) registers every
+    # SharedMemory — attachments included — with the tracker.  Pool workers
+    # share the parent's tracker process (the fd travels with fork/spawn
+    # prep data), where registration is idempotent and the creator's
+    # unlink() performs the single matching unregister, so no explicit
+    # deregistration is needed here (an extra unregister would make the
+    # creator's unlink KeyError inside the tracker).
+    shm = _shared_memory.SharedMemory(name=handle.shm_name, create=False)
+    try:
+        packed = np.array(
+            np.ndarray((handle.total_elements,), dtype=np.float64, buffer=shm.buf)
+        )
+    finally:
+        shm.close()
+    arrays = {}
+    for key, offset, count in handle.fields:
+        array = packed[offset : offset + count]
+        array.flags.writeable = False
+        arrays[key] = array
+    return arrays

@@ -42,8 +42,6 @@ def stomp(
     block_size: int | None = None,
     kernel: str | None = None,
     centered_first_row_qt: np.ndarray | None = None,
-    segment_pool=None,
-    segment_key: str | None = None,
 ) -> MatrixProfile:
     """Exact matrix profile of ``series`` at subsequence length ``window``.
 
@@ -79,7 +77,9 @@ def stomp(
         the correctness oracle.  ``"serial"``, ``"parallel"``, ``"auto"``
         or an :class:`~repro.engine.executor.Executor` instance route the
         computation through the block-partitioned engine
-        (:func:`repro.engine.partition.partitioned_stomp`).
+        (:func:`repro.engine.partition.partitioned_stomp`); on a process
+        pool each call packs the series into one shared-memory segment and
+        unlinks it before returning.
     n_jobs, block_size:
         Engine tuning knobs, ignored when ``engine`` is ``None``.
     kernel:
@@ -89,12 +89,6 @@ def stomp(
         kernels produce identical profiles and indices; a
         ``profile_callback`` (which needs full distance rows) always runs
         on the oracle kernel.
-    segment_pool, segment_key:
-        Shared-memory segment reuse across engine calls (see
-        :func:`repro.engine.partition.partitioned_stomp`); ignored when
-        ``engine`` is ``None``.  The :class:`repro.api.Analysis` session
-        passes its digest-keyed pool here so repeated engine-backed runs
-        on the same series pack (and per-worker copy) the series once.
     centered_first_row_qt:
         Optional precomputed sliding dot products of the first query
         (``QT[0, j]`` for every ``j``) — the one FFT product STOMP needs —
@@ -145,8 +139,6 @@ def stomp(
             stats=stats,
             profile_callback=profile_callback,
             ingest_store=ingest_store,
-            segment_pool=segment_pool,
-            segment_key=segment_key,
         )
     values = validate_series(series)
     window = validate_subsequence_length(values.size, window)

@@ -374,23 +374,17 @@ class _SessionPool:
             index=self._index,
         )
         slot = (session, threading.Lock())
-        evicted: List[Tuple[Analysis, threading.Lock]] = []
         with self._lock:
             raced = self._sessions.get(digest)
             if raced is not None:
                 self._sessions.move_to_end(digest)
                 return raced
             self._sessions[digest] = slot
+            # Eviction only forgets the slot: sessions own no resources, so
+            # a computation still running on an evicted session finishes
+            # undisturbed and nothing here waits on its slot lock.
             while len(self._sessions) > self._config.max_sessions:
-                _, old_slot = self._sessions.popitem(last=False)
-                evicted.append(old_slot)
-        # Outside the pool lock, but under each slot's own lock: close()
-        # unlinks the session's shared-memory segments, and an evicted
-        # session may still be mid-computation on another worker thread —
-        # unlinking under it would fail its in-flight engine run.
-        for old_session, old_lock in evicted:
-            with old_lock:
-                old_session.close()
+                self._sessions.popitem(last=False)
         return slot
 
     def lookup_values(self, digest: str) -> np.ndarray | None:
@@ -406,18 +400,6 @@ class _SessionPool:
                 return None
             self._sessions.move_to_end(digest)
             return slot[0].values
-
-    def close_all(self) -> None:
-        """Close every pooled session (service shutdown): shared-memory
-        segments are owned by sessions and must not outlive the service.
-        Each close waits on its slot lock so a computation still draining
-        is not undercut (see the eviction path)."""
-        with self._lock:
-            slots = list(self._sessions.values())
-            self._sessions.clear()
-        for session, lock in slots:
-            with lock:
-                session.close()
 
     def stats(self) -> List[dict]:
         with self._lock:
@@ -514,8 +496,7 @@ def _worker_session(task: _WorkerTask) -> Analysis:
         engine=EngineConfig.from_dict(task.engine),
     )
     while len(_WORKER_SESSIONS) >= _WORKER_SESSION_SLOTS:
-        _, evicted = _WORKER_SESSIONS.popitem(last=False)
-        evicted.close()
+        _WORKER_SESSIONS.popitem(last=False)
     _WORKER_SESSIONS[task.digest] = session
     return session
 
@@ -589,6 +570,11 @@ class AnalysisService:
         self._pending_futures = 0
         self._futures_flushed = asyncio.Event()
         self._futures_flushed.set()
+        #: Open connections: writer -> its handler task.  ``stop()`` closes
+        #: the ones still open so every handler exits through its clean-EOF
+        #: path; a handler left for ``asyncio.run`` to cancel makes the
+        #: streams callback log a ``CancelledError`` traceback.
+        self._open_connections: "Dict[asyncio.StreamWriter, asyncio.Task]" = {}
         self._metrics = _ServiceMetrics()
         #: Retained /metrics snapshots keyed by their opaque window token —
         #: a scraper passing ``?since=<token>`` gets the delta against the
@@ -692,15 +678,15 @@ class AnalysisService:
 
     async def stop(self) -> None:
         """Stop listening, cancel the workers, fail queued **and in-flight**
-        jobs, release the executors.  Every unresolved job future gets a
-        ``503`` so its connection handler — and client — is released instead
-        of hanging on a future nobody will ever settle (cancelling a worker
-        task abandons its ``run_in_executor`` await without resolving the
-        job it was driving)."""
+        jobs, close the open connections, release the executors.  Every
+        unresolved job future gets a ``503`` so its connection handler — and
+        client — is released instead of hanging on a future nobody will ever
+        settle (cancelling a worker task abandons its ``run_in_executor``
+        await without resolving the job it was driving).  Nothing here waits
+        on a session: a computation still running on an executor thread is
+        abandoned, not joined."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for worker in self._workers:
             worker.cancel()
         for worker in self._workers:
@@ -732,9 +718,19 @@ class AnalysisService:
             await asyncio.wait_for(self._futures_flushed.wait(), timeout=5.0)
         except (asyncio.TimeoutError, TimeoutError):
             pass
+        # Then end the connections still open (idle keep-alives included):
+        # closing a transport feeds its reader EOF, so each handler returns
+        # on its own.  Before Server.wait_closed(), which on Python 3.12+
+        # waits for every open connection.
+        handlers = list(self._open_connections.values())
+        for writer in list(self._open_connections):
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=5.0)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         self._shutdown_executors()
-        # Sessions own shared-memory segments; unlink them with the service.
-        self._pool.close_all()
         if self._index is not None:
             self._index.close()
 
@@ -991,6 +987,7 @@ class AnalysisService:
         # what lets a ServiceClient reuse one socket for its digest
         # negotiation; pipelining is what lets it overlap submissions.
         self._connections += 1
+        self._open_connections[writer] = asyncio.current_task()
         responses: "asyncio.Queue" = asyncio.Queue()
         budget = asyncio.Semaphore(_MAX_PIPELINE_DEPTH)
         writer_task = asyncio.get_running_loop().create_task(
@@ -1077,6 +1074,7 @@ class AnalysisService:
                 # dying connections get cancelled mid-await and spam the
                 # loop's exception handler) for no benefit.
                 writer.close()
+                self._open_connections.pop(writer, None)
 
     def _future_flushed(self) -> None:
         """One future-backed response left the building (or died trying)."""
@@ -1388,9 +1386,9 @@ class AnalysisService:
         """Run blocking store/pool work on the worker executor.
 
         Anything that may take the store lock across real work (blob
-        hashing, manifest writes) or wait on a session slot lock must not
-        run on the event loop — ``/health`` and the 503 answer keep flowing
-        while it executes."""
+        hashing, manifest writes) or hash a series must not run on the
+        event loop — ``/health`` and the 503 answer keep flowing while it
+        executes."""
         return await asyncio.get_running_loop().run_in_executor(
             self._executor, fn, *args
         )
@@ -1496,10 +1494,7 @@ class AnalysisService:
                 await self._stream_body(reader, content_length, chunks.append)
                 # No store: park the series in the session pool so
                 # digest-only requests resolve until LRU pressure evicts it.
-                # Off the event loop: the digest check hashes the series and
-                # pool insertion may wait on an evicted slot's lock (a
-                # session mid-computation must finish before its segments
-                # are unlinked).
+                # Off the event loop: the digest check hashes the series.
                 error = await self._offload(
                     self._adopt_into_pool, b"".join(chunks), digest, name
                 )

@@ -1,4 +1,4 @@
-"""Digest-keyed series transport: service negotiation, keep-alive, shm reuse.
+"""Digest-keyed series transport: service negotiation and keep-alive.
 
 The acceptance story of the store subsystem, end to end:
 
@@ -6,10 +6,7 @@ The acceptance story of the store subsystem, end to end:
   **no values** yet returns results identical to the direct-session oracle
   for every registry algorithm;
 * two sequential client calls share one server connection (HTTP
-  keep-alive);
-* within one :class:`~repro.api.Analysis` session, two engine-backed runs
-  on the same series reuse one shared-memory segment (no second pack), and
-  closing the session unlinks it.
+  keep-alive).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import pytest
 import repro
 from repro.api.registry import iter_specs
 from repro.api.requests import AnalysisRequest
-from repro.engine.shm import SharedSegmentPool, SharedSeriesBuffer
 from repro.exceptions import ServiceError
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
 
@@ -242,106 +238,6 @@ class TestKeepAlive:
             # Sabotage the cached connection behind the client's back.
             client._connection.sock.close()
             assert client.health()["status"] == "ok"
-
-
-class TestSessionSegmentReuse:
-    def test_two_engine_runs_pack_once_and_close_unlinks(
-        self, values, monkeypatch
-    ):
-        """The in-session acceptance criterion: same series, two
-        engine-backed runs, one pack; close() unlinks the segment."""
-        probe = SharedSeriesBuffer.create({"probe": np.arange(4.0)})
-        if probe is None:
-            pytest.skip("platform refuses shared-memory segments at runtime")
-        probe.close()
-        probe.unlink()
-
-        creates = []
-        original = SharedSeriesBuffer.create.__func__
-
-        def counting(cls, arrays):
-            creates.append(tuple(sorted(arrays)))
-            return original(cls, arrays)
-
-        monkeypatch.setattr(
-            SharedSeriesBuffer, "create", classmethod(counting)
-        )
-        session = repro.analyze(
-            values, engine=repro.EngineConfig(executor="parallel", n_jobs=1)
-        )
-        first = session.matrix_profile(20, cache=False).profile()
-        second = session.matrix_profile(20, cache=False).profile()
-        assert len(creates) == 1, "the second run must reuse the packed segment"
-        np.testing.assert_allclose(first.distances, second.distances)
-        oracle = repro.analyze(values).matrix_profile(20).profile()
-        np.testing.assert_allclose(first.distances, oracle.distances, atol=1e-8)
-
-        [key] = session.segment_pool.keys()
-        assert key == f"{session.series_digest}:w20"
-        segment_name = session.segment_pool._segments[key].name
-        session.close()
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=segment_name, create=False)
-
-    def test_different_windows_use_distinct_segments(self, values, monkeypatch):
-        if SharedSeriesBuffer.create({"probe": np.arange(4.0)}) is None:
-            pytest.skip("platform refuses shared-memory segments at runtime")
-        with repro.analyze(
-            values, engine=repro.EngineConfig(executor="parallel", n_jobs=1)
-        ) as session:
-            session.matrix_profile(16, cache=False)
-            session.matrix_profile(24, cache=False)
-            assert sorted(session.segment_pool.keys()) == sorted(
-                [
-                    f"{session.series_digest}:w16",
-                    f"{session.series_digest}:w24",
-                ]
-            )
-        assert len(session.segment_pool) == 0 or session.closed
-
-    def test_pool_factory_runs_once_per_key(self):
-        pool = SharedSegmentPool()
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return {"x": np.arange(8.0)}
-
-        first = pool.acquire("k", factory)
-        if first is None:
-            pytest.skip("platform refuses shared-memory segments at runtime")
-        second = pool.acquire("k", factory)
-        assert first is second
-        assert len(calls) == 1
-        pool.close()
-        assert len(pool) == 0
-
-    def test_pool_is_byte_capped(self):
-        """A window sweep must not grow /dev/shm without bound: the pool
-        evicts (and unlinks) cold segments past its byte budget, keeping
-        the one just acquired."""
-        from multiprocessing import shared_memory
-
-        pool = SharedSegmentPool(max_bytes=200)  # one 10-float segment = 80B
-        segments = {}
-        for index in range(4):
-            buffer = pool.acquire(
-                f"k{index}", lambda i=index: {"x": np.full(10, float(i))}
-            )
-            if buffer is None:
-                pytest.skip("platform refuses shared-memory segments at runtime")
-            segments[f"k{index}"] = buffer.name
-        assert pool.total_bytes <= 200
-        assert "k3" in pool.keys(), "the newest segment always stays"
-        assert "k0" not in pool.keys()
-        with pytest.raises(FileNotFoundError):  # evicted AND unlinked
-            shared_memory.SharedMemory(name=segments["k0"], create=False)
-        # A re-acquire after eviction transparently re-packs.
-        again = pool.acquire("k0", lambda: {"x": np.full(10, 0.0)})
-        assert again is not None and "k0" in pool.keys()
-        pool.close()
 
 
 def test_cli_request_digest_transport(tmp_path, capsys):

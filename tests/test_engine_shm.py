@@ -73,65 +73,21 @@ class TestBuffer:
             buffer.close()
             buffer.unlink()
 
-    def test_attach_is_cached_per_segment(self):
-        buffer = SharedSeriesBuffer.create({"x": np.arange(8.0)})
-        if buffer is None:
-            pytest.skip("platform refuses shared-memory segments at runtime")
-        try:
-            first = attach_arrays(buffer.handle)
-            second = attach_arrays(buffer.handle)
-            assert first["x"] is second["x"]
-        finally:
-            buffer.close()
-            buffer.unlink()
-
-    def test_evicted_arrays_stay_valid(self, monkeypatch):
-        """Arrays a caller holds must survive cache eviction — they are
-        private copies with no lifetime coupling to the segment.  (The
+    def test_evicted_arrays_stay_valid(self):
+        """Arrays from :func:`attach_arrays` are private copies: they stay
+        equal after the creator closes and unlinks the segment.  (The
         zero-copy alternative fails this test with silent aliasing:
         ``SharedMemory.__del__`` closes the mapping on collection and the
         held view then reads whatever lands in the recycled pages.)"""
-        # Two 3-element segments (24 bytes each) overflow a 32-byte cap, so
-        # the second attach must evict the first.
-        monkeypatch.setattr(shm_module, "ATTACH_CACHE_MAX_BYTES", 32)
-        first = SharedSeriesBuffer.create({"x": np.array([1.0, 2.0, 3.0])})
-        if first is None:
+        buffer = SharedSeriesBuffer.create({"x": np.array([1.0, 2.0, 3.0])})
+        if buffer is None:
             pytest.skip("platform refuses shared-memory segments at runtime")
-        extras = []
         try:
-            held = attach_arrays(first.handle)["x"]
-            extra = SharedSeriesBuffer.create({"x": np.full(3, 7.0)})
-            assert extra is not None
-            extras.append(extra)
-            attach_arrays(extra.handle)
-            assert first.handle.shm_name not in shm_module._ATTACH_CACHE
-            np.testing.assert_array_equal(held, [1.0, 2.0, 3.0])
+            held = attach_arrays(buffer.handle)["x"]
         finally:
-            for buffer in (first, *extras):
-                buffer.close()
-                buffer.unlink()
-
-    def test_attach_cache_is_byte_capped(self, monkeypatch):
-        """The worker-side cache evicts oldest-first once the byte budget is
-        exceeded, but always retains the entry being inserted."""
-        monkeypatch.setattr(shm_module, "ATTACH_CACHE_MAX_BYTES", 200)
-        buffers = []
-        try:
-            for index in range(4):
-                buffer = SharedSeriesBuffer.create({"x": np.full(10, float(index))})
-                if buffer is None:
-                    pytest.skip("platform refuses shared-memory segments at runtime")
-                buffers.append(buffer)
-                attach_arrays(buffer.handle)
-            cached = [b.handle.shm_name in shm_module._ATTACH_CACHE for b in buffers]
-            # 80 bytes per entry, 200-byte cap: at most two entries stay.
-            assert cached[-1], "the newest entry must always be cached"
-            assert sum(shm_module._ATTACH_CACHE_BYTES.values()) <= 200
-            assert cached == [False, False, True, True]
-        finally:
-            for buffer in buffers:
-                buffer.close()
-                buffer.unlink()
+            buffer.close()
+            buffer.unlink()
+        np.testing.assert_array_equal(held, [1.0, 2.0, 3.0])
 
     def test_rejects_non_1d_arrays(self):
         with pytest.raises(InvalidParameterError, match="1-D"):
@@ -190,8 +146,8 @@ class TestEngineTransport:
 
     def test_degraded_pool_skips_shared_memory(self, monkeypatch):
         """An in-process (degraded) pool must not set up shared memory at
-        all: there is no process boundary, and the parent attaching to its
-        own segments would pin their mappings for the process lifetime."""
+        all: there is no process boundary, so every task would only copy
+        back out the arrays the parent already holds."""
         from repro.engine import partition as partition_module
 
         calls = []
@@ -219,6 +175,44 @@ class TestEngineTransport:
                 if healthy.uses_processes:
                     partitioned_stomp(values, 16, executor=healthy, block_size=64)
                     assert calls  # a real pool does go through the transport
+
+    def test_session_engine_calls_unlink_their_segment(self, monkeypatch):
+        """A segment belongs to the engine call that packs it: a session on
+        a process executor that is never closed leaves no segment behind
+        after any call, and every call still matches the serial oracle."""
+        from multiprocessing import shared_memory
+
+        import repro
+
+        created = []
+        original = SharedSeriesBuffer.create.__func__
+
+        def recording(cls, arrays):
+            buffer = original(cls, arrays)
+            if buffer is not None:
+                created.append(buffer.name)
+            return buffer
+
+        monkeypatch.setattr(SharedSeriesBuffer, "create", classmethod(recording))
+        values = _values(600, seed=21)
+        oracle = stomp(values, 24)
+        session = repro.analyze(
+            values, engine=repro.EngineConfig(executor="parallel", n_jobs=2)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for call in range(2):
+                profile = session.matrix_profile(24, cache=False).profile()
+                if not created:
+                    pytest.skip("no process pool or shared memory on this host")
+                assert len(created) == call + 1, "one segment per engine call"
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=created[-1], create=False)
+                np.testing.assert_array_equal(profile.indices, oracle.indices)
+                np.testing.assert_allclose(
+                    profile.distances, oracle.distances, atol=1e-8
+                )
+        assert not session.closed
 
     @pytest.mark.parametrize("force_fallback", [False, True])
     def test_parallel_profile_matches_oracle_on_both_transports(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import pickle
 import socket
 import threading
@@ -33,7 +34,7 @@ from repro.engine.shm import (
     attach_blob,
     shared_memory_available,
 )
-from repro.exceptions import InvalidParameterError, StoreError
+from repro.exceptions import InvalidParameterError, ServiceError, StoreError
 from repro.harness.tables import metrics_rows
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
 from repro.service.server import _LATENCY_BUCKET_BOUNDS, _METRIC_PHASES, AnalysisService
@@ -174,6 +175,7 @@ class TestLifecycleFixes:
         try:
             background = BackgroundService(ServiceConfig(port=0, workers=1))
             background.__enter__()
+            loop_thread = background._thread
             try:
 
                 def post() -> None:
@@ -190,7 +192,13 @@ class TestLifecycleFixes:
                 assert entered.wait(timeout=60), "the job never started executing"
             finally:
                 # Stop the service while the job is mid-run_in_executor.
+                stopping = time.monotonic()
                 background.__exit__(None, None, None)
+                stop_seconds = time.monotonic() - stopping
+            # stop() must not wait on the parked job's session lock: the
+            # loop thread exits well inside __exit__'s 30 s join timeout.
+            assert stop_seconds < 10, stop_seconds
+            assert not loop_thread.is_alive(), "the event-loop thread outlived stop()"
             thread.join(timeout=60)
             assert not thread.is_alive(), "the client hung on an unresolved job"
             assert statuses["status"] == 503
@@ -198,6 +206,82 @@ class TestLifecycleFixes:
         finally:
             release.set()
             unregister("mpdist", "_test_inflight")
+
+    def test_eviction_does_not_wait_on_a_busy_session(self, values):
+        """With one session slot, a request for series B evicts series A's
+        session while a job on A is still parked: B must answer without
+        waiting for that job (eviction takes no session's slot lock)."""
+        release = threading.Event()
+        entered = threading.Event()
+
+        def parked_runner(session, **params):
+            entered.set()
+            release.wait(timeout=30)
+            return 0.0
+
+        register(
+            AlgorithmSpec(
+                kind="mpdist",
+                key="_test_evict",
+                runner=parked_runner,
+                description="test-only parked runner",
+            )
+        )
+        statuses: dict[str, object] = {}
+        try:
+            with BackgroundService(
+                ServiceConfig(port=0, workers=2, max_sessions=1)
+            ) as background:
+
+                def post_parked() -> None:
+                    client = ServiceClient(port=background.port, timeout=120)
+                    statuses["a"] = client.analyze_raw(
+                        values, AnalysisRequest(kind="mpdist", algo="_test_evict")
+                    )[0]
+
+                thread = threading.Thread(target=post_parked)
+                thread.start()
+                assert entered.wait(timeout=60), "the job on A never started"
+                client = ServiceClient(port=background.port, timeout=120)
+                started = time.monotonic()
+                result, _ = client.analyze(
+                    values[:256],
+                    AnalysisRequest(kind="matrix_profile", params={"window": 32}),
+                )
+                elapsed = time.monotonic() - started
+                assert not release.is_set()
+                assert elapsed < 10, elapsed
+                assert result.value.distances.shape == (256 - 32 + 1,)
+                release.set()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+                assert statuses["a"] == 200
+        finally:
+            release.set()
+            unregister("mpdist", "_test_evict")
+
+    def test_stop_with_idle_keepalive_client_logs_no_traceback(self, values, caplog):
+        """Stopping under an idle kept-alive connection closes it cleanly:
+        the handler leaves through its EOF path instead of being cancelled
+        by the loop teardown (whose streams callback logs a CancelledError
+        traceback), and the client's next call fails fast."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with BackgroundService(ServiceConfig(port=0, workers=1)) as background:
+                client = ServiceClient(port=background.port, timeout=30)
+                client.analyze(
+                    values, AnalysisRequest(kind="matrix_profile", params={"window": 32})
+                )
+        errors = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == [], [record.getMessage() for record in errors]
+        started = time.monotonic()
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.health()
+        assert time.monotonic() - started < 10
+        client.close()
 
     def test_start_unwinds_on_bind_conflict(self):
         """A bind failure (port in use) must not leak the executor or the
