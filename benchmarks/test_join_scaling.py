@@ -1,12 +1,13 @@
-"""Kernel scaling of the AB-join and the batched SCRIMP diagonal sweep.
+"""Kernel scaling of the AB-join and the SCRIMP diagonal sweep.
 
 Times one full one-sided AB-join at n ∈ {4096, 16384} (both series of
 length n) through the historical per-subsequence MASS loop (pinned as
 ``kernel="oracle"`` — the frozen reference the fast kernels are measured
 against) and through the fast join kernels (``"numpy"`` STOMP-recurrence
 sweep, compiled ``"native"`` when buildable), plus one exact SCRIMP pass
-at n = 8192 through the one-diagonal-at-a-time oracle and the batched
-diagonal kernels.  Wall-clock numbers and derived speedups land in
+at n = 8192 through the one-diagonal-at-a-time oracle and the fast
+kernel names (numpy runs the same per-diagonal loop, native one compiled
+call).  Wall-clock numbers and derived speedups land in
 ``BENCH_join_scaling.json`` at the repository root so the speedup
 trajectory is tracked from this PR onwards.
 
@@ -173,8 +174,8 @@ def test_join_scaling_kernels(benchmark, n, kernel):
 
 def test_scrimp_diagonal_sweep_scaling(benchmark):
     """One exact SCRIMP pass through the one-diagonal-at-a-time oracle and
-    the batched diagonal kernels — all three produce bit-identical
-    profiles (the anytime contract), so equality is asserted outright."""
+    the fast kernel names — all three produce bit-identical profiles (the
+    anytime contract), so equality is asserted outright."""
     benchmark.group = "scrimp diagonal sweep"
     values = np.array(generate_random_walk(SCRIMP_SIZE, random_state=2).values)
 

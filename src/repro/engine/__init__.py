@@ -11,9 +11,11 @@ work is scheduled:
 * :mod:`repro.engine.executor` — pluggable executors
   (:class:`SerialExecutor`, process-pool backed :class:`ParallelExecutor`,
   :func:`auto_executor` selection by problem size) that map picklable
-  tasks and preserve task order.
+  tasks and preserve task order; the parallel ``map`` carries the trace
+  context across the process boundary and respawns a pool a dead worker
+  broke.
 * :mod:`repro.engine.batch` — :func:`compute_profiles`: many
-  (series, window / length-range) jobs through one executor, with shared
+  (series, window) jobs through one executor, with shared
   sliding-statistics reuse and per-job error isolation.
 * :mod:`repro.engine.shm` — :class:`SharedSeriesBuffer`: the block
   arrays packed once per engine call into a ``multiprocessing.shared_memory``

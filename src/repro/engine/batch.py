@@ -1,49 +1,46 @@
 """Batch execution of many matrix-profile jobs through one executor.
 
-The range algorithms (``stomp-range``, SKIMP) and the harness all share
-the same shape of work: *many independent profile computations over the
-same or different series*.  :func:`compute_profiles` gives that shape a
-first-class API:
+The range algorithms (``stomp-range``, SKIMP), VALMOD's exact
+recomputations, the blocked AB-join and the session's multi-request
+batches all share the same shape of work: *many independent profile
+computations over the same or different series*.  :func:`compute_profiles`
+gives that shape a first-class API:
 
-* a :class:`ProfileJob` names one unit of work — a series plus either a
-  single ``window`` (one :class:`~repro.matrix_profile.profile.MatrixProfile`)
-  or a list of ``lengths`` (a dict mapping each length to its profile);
-* jobs are dispatched through one
-  :class:`~repro.engine.executor.Executor` — serially in-process, or one
-  job per process-pool task when the executor is parallel;
+* a :class:`ProfileJob` names one unit of work — a series and a
+  ``window``, optionally narrowed to one query offset (a distance
+  profile) or widened to an AB-join against a second series;
+* jobs are mapped through one :class:`~repro.engine.executor.Executor`
+  with ``executor.map`` — in-process for the serial executor, one job per
+  process-pool task for the parallel one;
 * results come back as :class:`JobOutcome` objects **in job order**; a
   job that raises records its exception in ``outcome.error`` without
   affecting the other jobs (``outcome.unwrap()`` re-raises it).
 
-``SlidingStats`` reuse: when jobs run serially, a per-batch cache keyed
-on series identity shares one :class:`~repro.stats.sliding.SlidingStats`
-(one pair of prefix-sum arrays) across every job on the same series —
-this is what makes a many-lengths batch over one series cost one ``O(n)``
-statistics pass instead of one per length.
+``SlidingStats`` reuse: every :func:`compute_profiles` call maps its jobs
+with one stats cache keyed on series identity, so in-process jobs on the
+same series share one :class:`~repro.stats.sliding.SlidingStats` (one pair
+of prefix-sum arrays) — this is what makes a many-lengths batch over one
+series cost one ``O(n)`` statistics pass instead of one per length.
 
 Series transport
 ----------------
-``job.series`` also accepts the engine's picklable handles instead of an
-array: a :class:`~repro.engine.shm.BlobHandle` (a store blob the worker
-memory-maps zero-copy) or a :class:`~repro.engine.shm.SharedArraysHandle`
-packing just ``{"values": ...}``.  Handle-backed payloads stay a few
-hundred bytes regardless of series length, so a thousand-job fan-out over
-one ten-million-point series ships kilobytes instead of eighty gigabytes.
-Array-backed jobs that *share* one series object are rewritten onto this
-transport automatically before a process-pool dispatch (see
-``_prepare_parallel_tasks``): one segment per :func:`compute_profiles`
-call, unlinked when its map returns — the per-job O(n) pickle the parallel
-path used to pay was a bug, not a contract.  Workers map a blob once per
-process and copy a segment out once per job, and share the ``O(n)``
-sliding statistics across jobs on the same handle through a small
-per-process cache.
+Array-backed jobs that *share* one series object would each pickle the
+full O(n) array across the pool boundary.  Before a process-pool
+dispatch they are rewritten onto a
+:class:`~repro.engine.shm.SharedArraysHandle` packing just
+``{"values": ...}`` (see ``_prepare_parallel_tasks``): one segment per
+:func:`compute_profiles` call, unlinked when its map returns, so a
+thousand-job fan-out over one series ships kilobytes instead of
+gigabytes.  Workers copy a segment out once per job and share the
+``O(n)`` sliding statistics across jobs on the same handle through a
+small per-process cache.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, Iterable, List, Tuple, Union
 
 import numpy as np
@@ -51,13 +48,7 @@ import numpy as np
 from repro import obs
 from repro.engine.executor import Executor, resolve_executor
 from repro.engine.partition import DEFAULT_RESEED_INTERVAL, partitioned_stomp
-from repro.engine.shm import (
-    BlobHandle,
-    SharedArraysHandle,
-    SharedSeriesBuffer,
-    attach_arrays,
-    attach_blob,
-)
+from repro.engine.shm import SharedArraysHandle, SharedSeriesBuffer, attach_arrays
 from repro.exceptions import InvalidParameterError
 from repro.matrix_profile.ab_join import JoinProfile, join_sweep_rows
 from repro.matrix_profile.distance_profile import distance_profile
@@ -74,42 +65,39 @@ __all__ = ["ProfileJob", "JobOutcome", "compute_profiles"]
 #: arrays per entry).
 _WORKER_STATS_MAX_ENTRIES = 4
 
-#: Per-process ``SlidingStats`` cache keyed by handle identity (blob digest
-#: or segment name).  Only handle-backed series use it: handles have a
-#: stable cross-pickle identity, ``id()`` of an unpickled array does not.
+#: Per-process ``SlidingStats`` cache keyed by segment name.  Only
+#: handle-backed series use it: handles have a stable cross-pickle
+#: identity, ``id()`` of an unpickled array does not.
 _WORKER_STATS: "OrderedDict[tuple, SlidingStats]" = OrderedDict()
 
 _ENGINE_METRICS = obs.scope("engine")
 _JOBS = _ENGINE_METRICS.counter("jobs")
-_JOB_QUEUE_SECONDS = _ENGINE_METRICS.histogram("job_queue_seconds")
 
 
 @dataclass(frozen=True, eq=False)
 class ProfileJob:
-    """One unit of batch work: a series plus a window or a length list.
+    """One unit of batch work: the matrix profile of ``series`` at ``window``.
 
-    Exactly one of ``window`` / ``lengths`` must be given.  ``name`` is
-    carried through to the outcome for the caller's bookkeeping and
-    defaults to the series name when the series is a
+    ``name`` is carried through to the outcome for the caller's
+    bookkeeping and defaults to the series name when the series is a
     :class:`~repro.series.DataSeries`.
 
-    ``query_offset`` (only with ``window=``) narrows the job from a full
-    matrix profile to the *distance profile* of one query offset — a single
-    MASS call.  VALMOD's per-length exact recomputations are exactly this
-    shape: many independent single-offset profiles at one length, which the
-    batch layer can fan out across workers.  The outcome's result is then a
+    ``query_offset`` narrows the job from a full matrix profile to the
+    *distance profile* of one query offset — a single MASS call.  VALMOD's
+    per-length exact recomputations are exactly this shape: many
+    independent single-offset profiles at one length, which the batch
+    layer can fan out across workers.  The outcome's result is then a
     plain ``numpy`` distance array (exclusion zone applied when
     ``exclusion_radius`` is set) instead of a
     :class:`~repro.matrix_profile.profile.MatrixProfile`.
 
-    ``series_b`` (only with ``window=``, incompatible with
-    ``query_offset``) turns the job into an **AB-join**: the nearest
-    neighbour in ``series_b`` of each query subsequence of ``series``.
-    ``row_range=(start, stop)`` optionally restricts the join to that
-    block of query rows — :func:`repro.matrix_profile.ab_join.ab_join`'s
-    ``engine=`` path plans one such job per A-row block, which is how
-    cross-series joins scale across cores like self-joins do.  Both series
-    fields accept the handle transport, and the outcome's result is a
+    ``series_b`` (incompatible with ``query_offset``) turns the job into
+    an **AB-join**: the nearest neighbour in ``series_b`` of each query
+    subsequence of ``series``.  ``row_range=(start, stop)`` optionally
+    restricts the join to that block of query rows —
+    :func:`repro.matrix_profile.ab_join.ab_join`'s ``engine=`` path plans
+    one such job per A-row block, which is how cross-series joins scale
+    across cores like self-joins do.  The outcome's result is a
     :class:`~repro.matrix_profile.ab_join.JoinProfile` covering the
     requested rows.
 
@@ -120,7 +108,6 @@ class ProfileJob:
 
     series: object
     window: int | None = None
-    lengths: Tuple[int, ...] | None = None
     query_offset: int | None = None
     exclusion_radius: int | None = None
     block_size: int | None = None
@@ -129,29 +116,16 @@ class ProfileJob:
     name: str | None = None
     series_b: object = None
     row_range: Tuple[int, int] | None = None
-    #: Observability stamp ``(obs_payload, enqueued_at)`` — set by the
-    #: dispatcher just before a process-pool map so the worker can adopt
-    #: the parent's trace/metrics context (never set by callers).
-    trace: object = None
 
     def __post_init__(self) -> None:
-        if (self.window is None) == (self.lengths is None):
-            raise InvalidParameterError(
-                "a ProfileJob needs exactly one of window= or lengths="
-            )
+        if self.window is None:
+            raise InvalidParameterError("a ProfileJob needs a window=")
         if self.query_offset is not None:
-            if self.window is None:
-                raise InvalidParameterError(
-                    "query_offset= requires a single window= job"
-                )
             object.__setattr__(self, "query_offset", int(self.query_offset))
-        if self.series_b is not None:
-            if self.window is None:
-                raise InvalidParameterError("series_b= requires a single window= job")
-            if self.query_offset is not None:
-                raise InvalidParameterError(
-                    "series_b= (an AB-join job) is incompatible with query_offset="
-                )
+        if self.series_b is not None and self.query_offset is not None:
+            raise InvalidParameterError(
+                "series_b= (an AB-join job) is incompatible with query_offset="
+            )
         if self.row_range is not None:
             if self.series_b is None:
                 raise InvalidParameterError(
@@ -160,36 +134,23 @@ class ProfileJob:
             object.__setattr__(
                 self, "row_range", (int(self.row_range[0]), int(self.row_range[1]))
             )
-        if self.lengths is not None:
-            lengths = tuple(int(length) for length in self.lengths)
-            if not lengths:
-                raise InvalidParameterError("lengths must not be empty")
-            object.__setattr__(self, "lengths", lengths)
         if self.name is None and isinstance(self.series, DataSeries):
             object.__setattr__(self, "name", self.series.name)
-
-    @property
-    def windows(self) -> Tuple[int, ...]:
-        """The window lengths this job evaluates (singleton for window jobs)."""
-        return (self.window,) if self.window is not None else self.lengths
 
 
 @dataclass(frozen=True)
 class JobOutcome:
     """Result slot of one job, in the order the jobs were submitted.
 
-    ``result`` is a :class:`MatrixProfile` for ``window=`` jobs, a dict of
-    them for ``lengths=`` jobs, a plain distance array for
-    ``query_offset=`` jobs, and a
+    ``result`` is a :class:`MatrixProfile` for plain jobs, a distance
+    array for ``query_offset=`` jobs, and a
     :class:`~repro.matrix_profile.ab_join.JoinProfile` for ``series_b=``
     (AB-join) jobs.
     """
 
     index: int
     job: ProfileJob
-    result: Union[
-        MatrixProfile, Dict[int, MatrixProfile], np.ndarray, JoinProfile, None
-    ] = None
+    result: Union[MatrixProfile, np.ndarray, JoinProfile, None] = None
     error: BaseException | None = None
 
     @property
@@ -197,7 +158,7 @@ class JobOutcome:
         """True when the job completed without raising."""
         return self.error is None
 
-    def unwrap(self) -> Union[MatrixProfile, Dict[int, MatrixProfile], np.ndarray]:
+    def unwrap(self) -> Union[MatrixProfile, np.ndarray, JoinProfile]:
         """The job's result, re-raising the job's exception if it failed."""
         if self.error is not None:
             raise self.error
@@ -205,58 +166,22 @@ class JobOutcome:
         return self.result
 
 
-def _profile_for_length(
-    values: np.ndarray,
-    stats: SlidingStats,
-    window: int,
-    exclusion_radius: int | None,
-    block_size: int | None,
-    kernel: str | None,
-    reseed_interval: int,
-) -> MatrixProfile:
-    """One serial blocked profile computation (runs inside a worker).
-
-    Delegates to :func:`~repro.engine.partition.partitioned_stomp` with a
-    serial executor — job-level parallelism (one process per job) is the
-    batch layer's concern, so the per-job computation must not spawn
-    nested pools.
-    """
-    return partitioned_stomp(
-        values,
-        window,
-        executor="serial",
-        block_size=block_size,
-        kernel=kernel,
-        reseed_interval=reseed_interval,
-        exclusion_radius=exclusion_radius,
-        stats=stats,
-    )
-
-
 def _series_cache_key(series: object) -> tuple:
     """A stats-cache key that survives pickling for handle-backed series.
 
-    Handles carry a stable identity (blob digest, segment name); plain
+    Segment handles carry a stable identity (the segment name); plain
     arrays only have ``id()``, which is meaningful within one process but
     not across a pool dispatch — which is fine, because plain arrays only
-    hit the *per-batch* cache of the serial path.
+    hit the per-call cache of jobs mapped in-process.
     """
-    if isinstance(series, BlobHandle):
-        return ("blob", series.digest)
     if isinstance(series, SharedArraysHandle):
         return ("shm", series.shm_name)
     return ("id", id(series))
 
 
 def _resolve_series(series: object) -> np.ndarray:
-    """Materialise ``job.series`` into a validated float64 array.
-
-    A blob handle resolves through the per-process blob cache in
-    :mod:`repro.engine.shm` (one mapping per blob per worker); a segment
-    handle is copied out per job.
-    """
-    if isinstance(series, BlobHandle):
-        return validate_series(attach_blob(series))
+    """Materialise ``job.series`` into a validated float64 array (a
+    segment handle is copied out per job)."""
     if isinstance(series, SharedArraysHandle):
         return validate_series(attach_arrays(series)["values"])
     return validate_series(series)
@@ -276,51 +201,45 @@ def _worker_stats(key: tuple, values: np.ndarray) -> SlidingStats:
 
 
 def _stats_for(
-    series: object,
-    values: np.ndarray,
-    stats_cache: Dict[tuple, SlidingStats] | None,
+    series: object, values: np.ndarray, stats_cache: Dict[tuple, SlidingStats]
 ) -> SlidingStats:
-    """Shared ``SlidingStats`` for one job series (batch or worker cache)."""
+    """Shared ``SlidingStats`` for one job series (call or worker cache)."""
     key = _series_cache_key(series)
-    if key[0] == "id":
-        stats = None
-        if stats_cache is not None:
-            stats = stats_cache.get(key)
-        if stats is None:
-            stats = SlidingStats(values)
-            if stats_cache is not None:
-                stats_cache[key] = stats
-        return stats
-    # Handle-backed series: the per-process cache makes the O(n)
-    # prefix sums a once-per-worker cost across pool dispatches.
-    return _worker_stats(key, values)
+    if key[0] != "id":
+        # Handle-backed series: the per-process cache makes the O(n)
+        # prefix sums a once-per-worker cost across pool dispatches.
+        return _worker_stats(key, values)
+    stats = stats_cache.get(key)
+    if stats is None:
+        stats = stats_cache[key] = SlidingStats(values)
+    return stats
 
 
 def _run_job(
-    job: ProfileJob,
-    stats_cache: Dict[tuple, SlidingStats] | None = None,
+    job: ProfileJob, stats_cache: Dict[tuple, SlidingStats]
 ) -> Tuple[str, object]:
     """Run one job to a ``("ok", result)`` / ``("error", exc)`` pair.
 
-    Errors are captured *inside* the worker so one failing job cannot
-    poison a process-pool map; the pair representation (rather than the
-    exception itself) keeps the transport picklable either way.
+    Top level, so a process pool can pickle it.  Errors are captured
+    *inside* the worker so one failing job cannot poison a process-pool
+    map; the pair representation (rather than the exception itself) keeps
+    the transport picklable either way.
     """
-    try:
-        values = _resolve_series(job.series)
-        stats = _stats_for(job.series, values, stats_cache)
-        if job.series_b is not None:
-            # AB-join job: the nearest neighbour in series_b of each query
-            # row of series (optionally one row block of the join).
-            values_b = _resolve_series(job.series_b)
-            stats_b = _stats_for(job.series_b, values_b, stats_cache)
-            if job.row_range is not None:
-                start, stop = job.row_range
-            else:
-                start, stop = 0, values.size - job.window + 1
-            return (
-                "ok",
-                join_sweep_rows(
+    _JOBS.inc()
+    with obs.span("engine.job"):
+        try:
+            values = _resolve_series(job.series)
+            stats = _stats_for(job.series, values, stats_cache)
+            if job.series_b is not None:
+                # AB-join job: the nearest neighbour in series_b of each
+                # query row of series (optionally one row block of the join).
+                values_b = _resolve_series(job.series_b)
+                stats_b = _stats_for(job.series_b, values_b, stats_cache)
+                if job.row_range is not None:
+                    start, stop = job.row_range
+                else:
+                    start, stop = 0, values.size - job.window + 1
+                result = join_sweep_rows(
                     values,
                     values_b,
                     job.window,
@@ -330,74 +249,47 @@ def _run_job(
                     stats_b=stats_b,
                     kernel=job.kernel,
                     reseed_interval=job.reseed_interval,
-                ),
-            )
-        if job.query_offset is not None:
-            # Single-offset job: one distance profile (a MASS call), not a
-            # full matrix profile.  No stats.forget(): many such jobs share
-            # one window, so the cached per-window statistics are the point.
-            return (
-                "ok",
-                distance_profile(
+                )
+            elif job.query_offset is not None:
+                # Single-offset job: one distance profile (a MASS call), not
+                # a full matrix profile.  No stats.forget(): many such jobs
+                # share one window, so the cached per-window statistics are
+                # the point.
+                result = distance_profile(
                     values,
                     job.query_offset,
                     job.window,
                     stats=stats,
                     exclusion_radius=job.exclusion_radius,
                     apply_exclusion=job.exclusion_radius is not None,
-                ),
-            )
-        profiles = {}
-        for window in job.windows:
-            profiles[window] = _profile_for_length(
-                values,
-                stats,
-                window,
-                job.exclusion_radius,
-                job.block_size,
-                job.kernel,
-                job.reseed_interval,
-            )
-            # Keep the shared-stats cache bounded across a length sweep
-            # (mirrors the forget-per-length discipline of the serial
-            # loops this batch path replaces).
-            stats.forget(window)
-        if job.window is not None:
-            return ("ok", profiles[job.window])
-        return ("ok", profiles)
-    except Exception as error:  # noqa: BLE001 - the whole point is isolation
-        return ("error", error)
-
-
-def _job_task(job: ProfileJob):
-    """Top-level (picklable) adapter for process-pool dispatch.
-
-    A job stamped with an observability context (``job.trace``) adopts it
-    and returns a **three**-tuple whose last element is the harvest blob
-    (spans + metric delta) for the parent to absorb; unstamped jobs keep
-    the plain two-tuple shape.
-    """
-    if job.trace is None:
-        return _run_job(job)
-    context, enqueued_at = job.trace
-    with obs.remote_task(context, skip_same_process=True) as task:
-        queued = max(0.0, time.time() - enqueued_at)
-        _JOB_QUEUE_SECONDS.observe(queued)
-        obs.record_span("engine.job.queue", enqueued_at, queued)
-        with obs.span("engine.job", windows=len(job.windows)):
-            _JOBS.inc()
-            outcome = _run_job(job)
-    return outcome + (task.harvest(),)
+                )
+            else:
+                # Job-level parallelism (one process per job) is the batch
+                # layer's concern, so the job's blocks run serially rather
+                # than spawning nested pools.
+                result = partitioned_stomp(
+                    values,
+                    job.window,
+                    executor="serial",
+                    block_size=job.block_size,
+                    kernel=job.kernel,
+                    reseed_interval=job.reseed_interval,
+                    exclusion_radius=job.exclusion_radius,
+                    stats=stats,
+                )
+                # Keep the shared-stats cache bounded across a length sweep.
+                stats.forget(job.window)
+        except Exception as error:  # noqa: BLE001 - the whole point is isolation
+            return ("error", error)
+    return ("ok", result)
 
 
 def _series_length(series: object) -> int | None:
     """Series length without materialising the data.
 
     Handles already know their length; attaching them in the parent just
-    to size the work would pin mappings the parent never computes on.
+    to size the work would copy a segment the parent never computes on.
     """
-    if isinstance(series, BlobHandle):
-        return int(series.length)
     if isinstance(series, SharedArraysHandle):
         for key, _offset, count in series.fields:
             if key == "values":
@@ -435,7 +327,7 @@ def _prepare_parallel_tasks(
     for index, job in enumerate(job_list):
         for field in ("series", "series_b"):
             series = getattr(job, field)
-            if series is None or isinstance(series, (BlobHandle, SharedArraysHandle)):
+            if series is None or isinstance(series, SharedArraysHandle):
                 continue
             groups.setdefault(id(series), []).append((index, field))
 
@@ -470,8 +362,8 @@ def compute_profiles(
     ----------
     jobs:
         The :class:`ProfileJob` list.  Jobs over the same series object
-        share one :class:`~repro.stats.sliding.SlidingStats` when running
-        serially (see the module docstring).
+        share one :class:`~repro.stats.sliding.SlidingStats` when mapped
+        in-process (see the module docstring).
     executor:
         ``"serial"``, ``"parallel"``, ``"auto"`` (default), ``None``, or
         an :class:`~repro.engine.executor.Executor` instance; ``"auto"``
@@ -501,49 +393,26 @@ def compute_profiles(
         if job.query_offset is not None:
             # One MASS call is O(n log n), i.e. ~log2(n) "profile rows".
             task_units += max(1, int(size).bit_length())
-        elif job.series_b is not None:
-            # Join jobs: one recurrence row per query offset of the block.
-            if job.row_range is not None:
-                task_units += max(1, job.row_range[1] - job.row_range[0])
-            else:
-                task_units += max(1, size - (job.window or 1) + 1)
+        elif job.row_range is not None:
+            # Join block: one recurrence row per query offset of the block.
+            task_units += max(1, job.row_range[1] - job.row_range[0])
         else:
-            task_units += sum(max(1, size - window + 1) for window in job.windows)
+            task_units += max(1, size - job.window + 1)
 
     chosen, owned = resolve_executor(executor, task_units=task_units, n_jobs=n_jobs)
-    batch_span = obs.span("engine.batch", jobs=len(job_list))
-    batch_span.__enter__()
+    buffers: List[SharedSeriesBuffer] = []
     try:
-        if chosen.supports_callbacks:  # serial: share stats across jobs
-            stats_cache: Dict[tuple, SlidingStats] = {}
-            _JOBS.inc(len(job_list))
-            raw = [_run_job(job, stats_cache) for job in job_list]
-        else:
+        with obs.span("engine.batch", jobs=len(job_list)):
             tasks = job_list
-            buffers: List[SharedSeriesBuffer] = []
             if chosen.uses_processes:
                 # Deduplicate shared plain-array series onto handle
                 # transport so the pool pickles bytes, not gigabytes.
                 tasks, buffers = _prepare_parallel_tasks(job_list)
-            obs_context = obs.current_payload()
-            if obs_context is not None:
-                stamp = (obs_context, time.time())
-                tasks = [replace(task, trace=stamp) for task in tasks]
-            try:
-                raw = chosen.map(_job_task, tasks)
-            finally:
-                for buffer in buffers:
-                    buffer.close()
-                    buffer.unlink()
-            harvested = []
-            for item in raw:
-                if len(item) == 3:
-                    obs.absorb(item[2])
-                    item = item[:2]
-                harvested.append(item)
-            raw = harvested
+            raw = chosen.map(partial(_run_job, stats_cache={}), tasks)
     finally:
-        batch_span.__exit__(None, None, None)
+        for buffer in buffers:
+            buffer.close()
+            buffer.unlink()
         if owned:
             chosen.close()
 

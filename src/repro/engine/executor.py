@@ -10,15 +10,27 @@ zip the results positionally without any reordering bookkeeping.
 
 Two concrete executors are provided:
 
-* :class:`SerialExecutor` — a plain in-process loop.  It is the default,
-  the correctness oracle, and the only executor that can service
-  per-row callbacks (VALMOD's base-profile ingest is order-dependent).
+* :class:`SerialExecutor` — a plain in-process loop.  It is the default
+  and the correctness oracle.
 * :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
   wrapper.  The pool is created lazily on first use and *reused* across
   calls, so a test suite (or a batch of jobs) pays the worker start-up
   cost once.  If the platform refuses to create a process pool (some
   sandboxes block the required semaphores), it degrades to serial
-  execution rather than failing.
+  execution rather than failing.  A worker that dies (OOM, ``kill -9``)
+  breaks the pool: the call that hit the death raises
+  :class:`~concurrent.futures.process.BrokenProcessPool`, and the pool is
+  dropped so the next ``map``/``submit`` spawns a fresh one
+  (``engine.executor.pool_respawns`` counts the drops).
+
+:meth:`ParallelExecutor.map` is the only code in the engine that knows a
+task crossed a process boundary.  It stamps every task with the caller's
+observability context (:func:`repro.obs.current_payload`), runs the task
+in the worker under that context — one ``engine.executor.queue`` span and
+one ``engine.executor.queue_seconds`` observation per task — and folds
+each worker's spans and metric delta back in before it returns plain
+results.  Callers map the same function over the same tasks whichever
+executor they hold.
 
 :func:`auto_executor` picks between the two from the problem size: below
 ``AUTO_PARALLEL_MIN_TASK_UNITS`` units of work the per-task pickling and
@@ -32,6 +44,8 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Callable, List, Sequence
 
 from repro import obs
@@ -55,6 +69,8 @@ AUTO_PARALLEL_MIN_TASK_UNITS = 8192
 _EXECUTOR_METRICS = obs.scope("engine.executor")
 _POOL_SPAWNS = _EXECUTOR_METRICS.counter("pool_spawns")
 _POOL_DEGRADES = _EXECUTOR_METRICS.counter("pool_degrades")
+_POOL_RESPAWNS = _EXECUTOR_METRICS.counter("pool_respawns")
+_QUEUE_SECONDS = _EXECUTOR_METRICS.histogram("queue_seconds")
 _PREWARM_SECONDS = _EXECUTOR_METRICS.gauge("prewarm_seconds")
 
 
@@ -67,14 +83,26 @@ def _worker_ping(_index: int = 0) -> int:
     return os.getpid()
 
 
+def _traced_task(fn: Callable, context: tuple, enqueued_at: float, task):
+    """Run ``fn(task)`` in a pool worker under the dispatcher's obs context.
+
+    Returns ``(result, harvest)``: the harvest blob (spans plus metric
+    delta, ``None`` when nothing was recorded) is what
+    :meth:`ParallelExecutor.map` absorbs in the parent.
+    """
+    with obs.remote_task(context, skip_same_process=True) as remote:
+        queued = max(0.0, time.time() - enqueued_at)
+        _QUEUE_SECONDS.observe(queued)
+        obs.record_span("engine.executor.queue", enqueued_at, queued)
+        result = fn(task)
+    return result, remote.harvest()
+
+
 class Executor:
     """Interface: map a function over tasks, preserving task order."""
 
     #: Human-readable name, recorded in benchmark artefacts.
     name: str = "abstract"
-    #: Whether callers may rely on tasks running sequentially in submission
-    #: order inside the calling process (required for per-row callbacks).
-    supports_callbacks: bool = False
 
     @property
     def effective_jobs(self) -> int:
@@ -86,11 +114,9 @@ class Executor:
         """Whether :meth:`map` will cross a process boundary.
 
         Callers use this to decide whether cross-process transports
-        (shared-memory payloads) are worth setting up.  Defaults to the
-        complement of :attr:`supports_callbacks`; executors that can
-        degrade to in-process execution should override it with the truth.
+        (shared-memory payloads) are worth setting up.
         """
-        return not self.supports_callbacks
+        return False
 
     def map(self, fn: Callable, tasks: Sequence) -> List:
         """Apply ``fn`` to every task and return results in task order."""
@@ -110,7 +136,6 @@ class SerialExecutor(Executor):
     """In-process, in-order execution — the default and the oracle."""
 
     name = "serial"
-    supports_callbacks = True
 
     def map(self, fn: Callable, tasks: Sequence) -> List:
         return [fn(task) for task in tasks]
@@ -133,7 +158,6 @@ class ParallelExecutor(Executor):
     """
 
     name = "parallel"
-    supports_callbacks = False
 
     def __init__(self, n_jobs: int | None = None) -> None:
         if n_jobs is not None and n_jobs < 1:
@@ -200,11 +224,37 @@ class ParallelExecutor(Executor):
         _PREWARM_SECONDS.set(elapsed)
         return elapsed
 
+    def _drop(self, pool: ProcessPoolExecutor) -> None:
+        """Forget ``pool`` after a worker died, so the next call respawns."""
+        if self._pool is pool:
+            self._pool = None
+            _POOL_RESPAWNS.inc()
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def _drop_if_broken(self, pool: ProcessPoolExecutor, future) -> None:
+        if not future.cancelled() and isinstance(future.exception(), BrokenProcessPool):
+            self._drop(pool)
+
     def map(self, fn: Callable, tasks: Sequence) -> List:
+        """Pool map that carries the caller's trace and metrics context
+        (see the module docstring); in-process when the pool degraded."""
         pool = self._ensure_pool()
         if pool is None:
             return [fn(task) for task in tasks]
-        return list(pool.map(fn, tasks))
+        context = obs.current_payload()
+        call = fn if context is None else partial(_traced_task, fn, context, time.time())
+        try:
+            outputs = list(pool.map(call, tasks))
+        except BrokenProcessPool:
+            self._drop(pool)
+            raise
+        if context is None:
+            return outputs
+        results = []
+        for result, harvest in outputs:
+            obs.absorb(harvest)
+            results.append(result)
+        return results
 
     def submit(self, fn: Callable, /, *args):
         """Schedule one call on the pool; returns its ``concurrent.futures``
@@ -216,7 +266,10 @@ class ParallelExecutor(Executor):
         degraded executor raises instead of silently running ``fn`` inline —
         inline execution during ``submit`` would block the caller's event
         loop, the exact failure mode the pool exists to prevent; callers
-        check :attr:`uses_processes` first and fall back themselves.
+        check :attr:`uses_processes` first and fall back themselves.  Unlike
+        :meth:`map`, the call carries no trace context: the caller stamps
+        and absorbs its own.  A future that fails with ``BrokenProcessPool``
+        drops the pool before the caller sees the failure.
         """
         pool = self._ensure_pool()
         if pool is None:
@@ -224,15 +277,18 @@ class ParallelExecutor(Executor):
                 "this ParallelExecutor degraded to in-process execution; "
                 "submit() needs a live process pool (check uses_processes)"
             )
-        return pool.submit(fn, *args)
+        future = pool.submit(fn, *args)
+        future.add_done_callback(partial(self._drop_if_broken, pool))
+        return future
 
     def close(self, *, wait: bool = True, cancel_futures: bool = False) -> None:
         """Shut the pool down.  ``wait=False`` + ``cancel_futures=True`` is
         the service-shutdown flavour: pending tasks are dropped and the
         call returns without blocking on in-flight computations."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-            self._pool = None
+        # Read the pool once: a dead worker's callback may drop it meanwhile.
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
 def auto_executor(

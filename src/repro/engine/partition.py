@@ -31,19 +31,21 @@ The same argument covers VALMOD's base-pass ingest: the entries a
 ``i`` are a function of row ``i``'s distance profile alone, so each block
 ingests its rows into a store *fragment* and the fragments merge
 positionally — bit for bit the store a serial ingest would have built
-from the same block plan.  This replaced the old ``profile_callback``
-special case that forced the whole sweep serial whenever VALMOD ran.
+from the same block plan.
 
-Series transport
-----------------
-Process-pool payloads do not pickle the O(n) arrays (series, means, stds,
-first-row products) into every task: when the platform provides
-``multiprocessing.shared_memory`` each call packs the arrays once into a
-:class:`~repro.engine.shm.SharedSeriesBuffer`, each payload carries only
-the segment handle, and the call unlinks the segment when its ``map``
-returns.  Workers attach by name and copy the arrays out once per task.
-When shared memory is unavailable the payloads fall back to carrying the
-arrays (slower, never wrong).
+Dispatch and series transport
+-----------------------------
+:func:`partitioned_stomp` maps one top-level task function over the block
+plan with ``executor.map``, whichever executor it holds; carrying the
+trace context across a process boundary is the executor's business (see
+:mod:`repro.engine.executor`).  Process-pool payloads do not pickle the
+O(n) arrays (series, means, stds, first-row products) into every task:
+when the platform provides ``multiprocessing.shared_memory`` each call
+packs the arrays once into a :class:`~repro.engine.shm.SharedSeriesBuffer`,
+each payload carries only the segment handle, and the call unlinks the
+segment when its ``map`` returns.  Workers attach by name and copy the
+arrays out once per task.  When shared memory is unavailable the payloads
+fall back to carrying the arrays (slower, never wrong).
 
 Re-seeding and numerical drift
 ------------------------------
@@ -72,7 +74,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -84,7 +86,6 @@ from repro.matrix_profile.exclusion import default_exclusion_radius
 from repro.matrix_profile.kernels import run_sweep
 from repro.matrix_profile.profile import MatrixProfile
 from repro.series.validation import validate_series, validate_subsequence_length
-from repro.stats.distance import compensation_needed
 from repro.stats.fft import sliding_dot_product
 from repro.stats.sliding import SlidingStats
 
@@ -109,7 +110,6 @@ _MIN_AUTO_BLOCK = 64
 _ENGINE_METRICS = obs.scope("engine")
 _BLOCKS = _ENGINE_METRICS.counter("blocks")
 _BLOCK_SECONDS = _ENGINE_METRICS.histogram("block_seconds")
-_BLOCK_QUEUE_SECONDS = _ENGINE_METRICS.histogram("block_queue_seconds")
 _STOMP_CALLS = _ENGINE_METRICS.counter("stomp_calls")
 
 
@@ -142,37 +142,35 @@ def plan_blocks(count: int, block_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _compute_block(
-    values: np.ndarray,
-    window: int,
-    radius: int,
-    means: np.ndarray,
-    stds: np.ndarray,
-    first_row_dots: np.ndarray,
-    start: int,
-    stop: int,
-    reseed_interval: int,
-    profile_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    ingest: Tuple[int, int, str] | None = None,
-    kernel: str | None = None,
-) -> Tuple[np.ndarray, np.ndarray, dict | None]:
-    """Profile/index arrays (and optional store fragment) for rows ``[start, stop)``.
+def _block_task(payload) -> Tuple[np.ndarray, np.ndarray, dict | None]:
+    """Profile/index arrays (and optional store fragment) for one row block.
 
-    The first row is seeded with one MASS call; subsequent rows advance
-    the STOMP recurrence, re-seeding every ``reseed_interval`` rows.
-    ``first_row_dots`` holds ``QT[0, j]`` for every ``j``; by symmetry of
-    the self-join, ``QT[i, 0] = first_row_dots[i]`` refreshes the column
-    the recurrence cannot reach.  All arrays live in mean-centered space.
-    The sweep itself — recurrence, reseeding, reductions, hook dispatch —
-    is :func:`repro.matrix_profile.kernels.run_sweep` with the requested
-    kernel; segment boundaries are shared by all kernels, so the block
-    result does not depend on which one ran.
+    ``payload`` is ``(arrays, window, radius, start, stop, reseed_interval,
+    ingest, kernel)``.  ``arrays`` carries the four O(n) block arrays —
+    centered values, means, stds and first-row products — either directly
+    as a tuple or as a :class:`~repro.engine.shm.SharedArraysHandle`
+    naming the shared-memory segment they were packed into.  The function
+    is top level so a process pool can pickle it.
+
+    Rows ``[start, stop)`` are swept by
+    :func:`repro.matrix_profile.kernels.run_sweep`: the first row is
+    seeded with one MASS call and later rows advance the STOMP recurrence,
+    re-seeding every ``reseed_interval`` rows.  ``first_row_dots`` holds
+    ``QT[0, j]`` for every ``j``; by symmetry of the self-join,
+    ``QT[i, 0] = first_row_dots[i]`` refreshes the column the recurrence
+    cannot reach.  Segment boundaries are shared by all kernels, so the
+    block result does not depend on which one ran.
 
     ``ingest`` — ``(capacity, exclusion_factor, lower_bound_kind)`` — makes
     the block build a :class:`~repro.core.partial_profile.PartialProfileStore`
     fragment covering its rows and return the fragment's exported state as
     the third element (``None`` otherwise).
     """
+    arrays, window, radius, start, stop, reseed_interval, ingest, kernel = payload
+    if isinstance(arrays, SharedArraysHandle):
+        attached = attach_arrays(arrays)
+        arrays = tuple(attached[key] for key in ("values", "means", "stds", "first_row_dots"))
+    values, means, stds, first_row_dots = arrays
     started_at = time.perf_counter()
     with obs.span("engine.block", start=int(start), stop=int(stop)):
         fragment = None
@@ -202,74 +200,11 @@ def _compute_block(
             stop,
             kernel=kernel,
             reseed_interval=reseed_interval,
-            profile_callback=profile_callback,
             ingest=fragment,
         )
     _BLOCKS.inc()
     _BLOCK_SECONDS.observe(time.perf_counter() - started_at)
     return profile, indices, None if fragment is None else fragment.export_state()
-
-
-def _block_task(payload):
-    """Top-level (hence picklable) adapter around :func:`_compute_block`.
-
-    ``payload[0]`` carries the four O(n) block arrays — either directly as
-    a tuple or as a :class:`~repro.engine.shm.SharedArraysHandle` naming
-    the shared-memory segment they were packed into.  A ninth element, when
-    present, is the observability stamp ``(obs_payload, enqueued_at)``: the
-    task then adopts the dispatcher's trace/metrics context and returns a
-    **four**-tuple whose last element is the harvest blob for the parent to
-    :func:`repro.obs.absorb` (``None`` harvest when nothing was recorded).
-    """
-    obs_stamp = None
-    if len(payload) == 9:
-        obs_stamp, payload = payload[8], payload[:8]
-    arrays_ref, window, radius, start, stop, reseed_interval, ingest, kernel = payload
-    if isinstance(arrays_ref, SharedArraysHandle):
-        arrays = attach_arrays(arrays_ref)
-        values = arrays["values"]
-        means = arrays["means"]
-        stds = arrays["stds"]
-        first_row_dots = arrays["first_row_dots"]
-    else:
-        values, means, stds, first_row_dots = arrays_ref
-    if obs_stamp is None:
-        return _compute_block(
-            values,
-            window,
-            radius,
-            means,
-            stds,
-            first_row_dots,
-            start,
-            stop,
-            reseed_interval,
-            None,
-            ingest,
-            kernel,
-        )
-    context, enqueued_at = obs_stamp
-    with obs.remote_task(context, skip_same_process=True) as task:
-        queued = max(0.0, time.time() - enqueued_at)
-        _BLOCK_QUEUE_SECONDS.observe(queued)
-        obs.record_span(
-            "engine.block.queue", enqueued_at, queued, start=int(start), stop=int(stop)
-        )
-        result = _compute_block(
-            values,
-            window,
-            radius,
-            means,
-            stds,
-            first_row_dots,
-            start,
-            stop,
-            reseed_interval,
-            None,
-            ingest,
-            kernel,
-        )
-    return result + (task.harvest(),)
 
 
 def partitioned_stomp(
@@ -283,7 +218,6 @@ def partitioned_stomp(
     reseed_interval: int = DEFAULT_RESEED_INTERVAL,
     exclusion_radius: int | None = None,
     stats: SlidingStats | None = None,
-    profile_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     ingest_store=None,
 ) -> MatrixProfile:
     """Exact matrix profile via block-partitioned STOMP.
@@ -314,19 +248,12 @@ def partitioned_stomp(
     reseed_interval:
         Rows advanced by the recurrence before a fresh MASS seed (see the
         module docstring); ``DEFAULT_RESEED_INTERVAL`` by default.
-    profile_callback:
-        Per-row hook ``callback(offset, dot_products, distances)`` with
-        **mean-centered** dot products — an inherently order-dependent
-        contract, so when given, blocks run serially in row order
-        regardless of the executor; block seeding and re-seeding still
-        apply.  VALMOD no longer needs this: its ingest goes through
-        ``ingest_store``, which parallelises.
     ingest_store:
         An empty :class:`~repro.core.partial_profile.PartialProfileStore`
         whose ``base_length`` equals ``window``.  Each block ingests its
         rows into a store fragment (inside the worker, when parallel) and
-        the fragments are merged back here in block order — the
-        block-parallel replacement for VALMOD's old per-row callback.
+        the fragments are merged back here in block order (VALMOD's base
+        pass).
     """
     values = validate_series(series)
     window = validate_subsequence_length(values.size, window)
@@ -351,10 +278,6 @@ def partitioned_stomp(
 
     ingest = None
     if ingest_store is not None:
-        if profile_callback is not None:
-            raise InvalidParameterError(
-                "pass either profile_callback or ingest_store, not both"
-            )
         ingest_store.require_ready_for_ingest(window)
         ingest = (
             ingest_store.capacity,
@@ -363,9 +286,7 @@ def partitioned_stomp(
         )
 
     _STOMP_CALLS.inc()
-    stomp_span = obs.span("engine.stomp", window=int(window), rows=int(count))
-    stomp_span.__enter__()
-    try:
+    with obs.span("engine.stomp", window=int(window), rows=int(count)):
         first_row_dots = sliding_dot_product(sweep_values[:window], sweep_values)
         chosen_executor, owned = resolve_executor(
             executor, task_units=count, n_jobs=n_jobs
@@ -373,79 +294,34 @@ def partitioned_stomp(
         try:
             if block_size is None:
                 block_size = default_block_size(count, chosen_executor.effective_jobs)
-            blocks = plan_blocks(count, block_size)
-
-            if profile_callback is not None or chosen_executor.supports_callbacks:
-                results = [
-                    _compute_block(
-                        sweep_values,
-                        window,
-                        radius,
-                        means,
-                        stds,
-                        first_row_dots,
-                        start,
-                        stop,
-                        reseed_interval,
-                        profile_callback,
-                        ingest,
-                        kernel,
-                    )
-                    for start, stop in blocks
-                ]
-            else:
-                # Shared memory only pays off across a process boundary; a
-                # degraded pool runs in-process, where every task would copy
-                # back out the arrays the parent already holds.
-                buffer = None
-                if chosen_executor.uses_processes:
-                    buffer = SharedSeriesBuffer.create(
-                        {
-                            "values": sweep_values,
-                            "means": means,
-                            "stds": stds,
-                            "first_row_dots": first_row_dots,
-                        }
-                    )
-                arrays_ref = (
-                    buffer.handle
-                    if buffer is not None
-                    else (sweep_values, means, stds, first_row_dots)
+            # Shared memory only pays off across a process boundary; a
+            # degraded pool runs in-process, where every task would copy
+            # back out the arrays the parent already holds.
+            buffer = None
+            if chosen_executor.uses_processes:
+                buffer = SharedSeriesBuffer.create(
+                    {
+                        "values": sweep_values,
+                        "means": means,
+                        "stds": stds,
+                        "first_row_dots": first_row_dots,
+                    }
                 )
-                try:
-                    # Tasks crossing a process boundary carry the trace and
-                    # metrics context; their harvest comes back as a fourth
-                    # result element the parent absorbs below.
-                    obs_context = obs.current_payload()
-                    obs_stamp = (
-                        None if obs_context is None else (obs_context, time.time())
-                    )
-                    payloads = [
-                        (
-                            arrays_ref,
-                            window,
-                            radius,
-                            start,
-                            stop,
-                            reseed_interval,
-                            ingest,
-                            kernel,
-                        )
-                        + (() if obs_stamp is None else (obs_stamp,))
-                        for start, stop in blocks
-                    ]
-                    results = chosen_executor.map(_block_task, payloads)
-                    harvested = []
-                    for item in results:
-                        if len(item) == 4:
-                            obs.absorb(item[3])
-                            item = item[:3]
-                        harvested.append(item)
-                    results = harvested
-                finally:
-                    if buffer is not None:
-                        buffer.close()
-                        buffer.unlink()
+            arrays = (
+                buffer.handle
+                if buffer is not None
+                else (sweep_values, means, stds, first_row_dots)
+            )
+            payloads = [
+                (arrays, window, radius, start, stop, reseed_interval, ingest, kernel)
+                for start, stop in plan_blocks(count, block_size)
+            ]
+            try:
+                results = chosen_executor.map(_block_task, payloads)
+            finally:
+                if buffer is not None:
+                    buffer.close()
+                    buffer.unlink()
         finally:
             if owned:
                 chosen_executor.close()
@@ -463,5 +339,3 @@ def partitioned_stomp(
         return MatrixProfile(
             distances=profile, indices=indices, window=window, exclusion_radius=radius
         )
-    finally:
-        stomp_span.__exit__(None, None, None)

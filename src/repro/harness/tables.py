@@ -143,7 +143,7 @@ def metrics_rows(
     Understands both document generations: the PR 8 shape (``bounds`` +
     ``kinds``) and the extended registry shape that adds ``families``.
     With ``include_families=True``, registry histograms from other layers
-    (``session.compute_seconds``, ``engine.job_queue_seconds``, ...)
+    (``session.compute_seconds``, ``engine.executor.queue_seconds``, ...)
     become extra rows whose ``kind`` is the family name — except the
     ``service`` family, which would duplicate the ``kinds`` rows verbatim.
     The default keeps the PR 8 row set exactly, whichever document shape

@@ -14,9 +14,8 @@ through one of three interchangeable kernels:
 ``"oracle"``
     The original per-row loop: one full distance row per query offset via
     :func:`~repro.matrix_profile.distance_profile.distances_from_dot_products`.
-    It is the frozen reference the fast kernels are pinned against, the
-    benchmark baseline, and the only kernel that can feed
-    ``profile_callback`` (which wants the full distance row).
+    It is the frozen reference the fast kernels are pinned against and the
+    benchmark baseline.
 ``"numpy"``
     The batched row-block kernel: rows advance through a preallocated 2-D
     QT block (a ring of row buffers, so each row is computed from the
@@ -73,20 +72,15 @@ that possible:
 Buffer-ownership contract (the ``qt`` aliasing fix)
 ---------------------------------------------------
 The recurrence mutates its dot-product buffers in place, so handing them
-to hooks used to be a use-after-advance hazard.  The contract is now:
-
-* ``profile_callback(offset, dot_products, distances)`` receives a
-  **read-only copy** of the row's dot products — safe to keep across
-  rows — and a fresh ``distances`` array it owns outright.
-* ``ingest_store.ingest_centered_profile(offset, dot_products)`` receives
-  a **read-only view** that is only valid for the duration of the call
-  (the store copies what it retains); consuming it during the call is the
-  whole contract.  The oracle and numpy kernels hand over one 1-D row per
-  call; the native kernel sweeps a block of rows in C and hands over the
-  2-D ``(rows, count)`` block of rows ``offset, offset + 1, ...`` in one
-  call, so a store can retain it in C as well.
-
-``tests/test_kernels.py`` holds references across rows to enforce both.
+to the per-row hook used to be a use-after-advance hazard.  The contract
+is now that ``ingest_store.ingest_centered_profile(offset, dot_products)``
+receives a **read-only view** that is only valid for the duration of the
+call (the store copies what it retains); consuming it during the call is
+the whole contract.  The oracle and numpy kernels hand over one 1-D row
+per call; the native kernel sweeps a block of rows in C and hands over
+the 2-D ``(rows, count)`` block of rows ``offset, offset + 1, ...`` in one
+call, so a store can retain it in C as well.  ``tests/test_kernels.py``
+pins this.
 """
 
 from __future__ import annotations
@@ -94,7 +88,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -106,9 +99,7 @@ from repro.stats.distance import centered_dot_products, compensation_needed
 from repro.stats.fft import sliding_dot_product
 
 __all__ = [
-    "DEFAULT_DIAG_BLOCK",
     "DEFAULT_JOIN_RESEED_INTERVAL",
-    "DIAG_BATCH_MAX_N",
     "KERNEL_NAMES",
     "available_kernels",
     "resolve_kernel",
@@ -401,7 +392,6 @@ def _oracle_segment(
     base,
     profile,
     indices,
-    profile_callback,
     ingest,
 ):
     """Reference per-row sweep: full distance rows, shared selection."""
@@ -425,10 +415,6 @@ def _oracle_segment(
         )
         if ingest is not None:
             ingest.ingest_centered_profile(offset, _readonly_view(qt))
-        if profile_callback is not None:
-            snapshot = qt.copy()
-            snapshot.flags.writeable = False
-            profile_callback(offset, snapshot, distances)
         _fill_selection_row(ctx, qt, offset, sel)
         best = int(np.argmax(sel))
         if sel[best] != -np.inf:
@@ -548,7 +534,6 @@ def run_sweep(
     kernel: "str | None" = None,
     compensated: "bool | None" = None,
     reseed_interval: "int | None" = None,
-    profile_callback: "Callable[[int, np.ndarray, np.ndarray], None] | None" = None,
     ingest=None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Profile/index arrays for query rows ``[start, stop)``.
@@ -569,11 +554,10 @@ def run_sweep(
         Segment boundaries are part of the numerical result, so all
         kernels share them: bit-for-bit equality holds per
         ``(start, stop, reseed_interval)`` shape.
-    profile_callback, ingest:
-        Per-row hooks (see the module docstring for the buffer-ownership
-        contract).  A ``profile_callback`` needs full distance rows and
-        therefore always runs on the oracle kernel.  An ``ingest`` store
-        (a :class:`~repro.core.partial_profile.PartialProfileStore` or
+    ingest:
+        Per-row hook (see the module docstring for the buffer-ownership
+        contract).  An ``ingest`` store (a
+        :class:`~repro.core.partial_profile.PartialProfileStore` or
         fragment) is fed one row view at a time by the oracle and numpy
         kernels and blocks of consecutive rows by the native kernel,
         which the store retains in C; every kernel builds the same store
@@ -597,8 +581,6 @@ def run_sweep(
         return profile, indices
 
     name = resolve_kernel(kernel)
-    if profile_callback is not None:
-        name = "oracle"
 
     observing = obs.metrics_enabled() or obs.tracing_active()
     if observing:
@@ -658,7 +640,6 @@ def run_sweep(
                     start,
                     profile,
                     indices,
-                    profile_callback,
                     ingest,
                 )
         seg_start = seg_stop
@@ -1049,32 +1030,11 @@ def run_join_sweep(
 
 
 # --------------------------------------------------------------------- #
-# SCRIMP diagonal sweep (batched anytime kernel)
+# SCRIMP diagonal sweep (anytime kernel)
 # --------------------------------------------------------------------- #
-#: Diagonals processed per batched-kernel call.  Peak extra memory of the
-#: numpy kernel is ~``3 * DEFAULT_DIAG_BLOCK * n`` doubles (products,
-#: prefix sums, distances); 32 keeps that ~0.8 MB per 1k points while
-#: amortising the per-call numpy overhead over a full block.
-DEFAULT_DIAG_BLOCK = 32
-
-#: Above this series length the default numpy path processes diagonals one
-#: at a time instead of in padded batches.  The batch pads every diagonal
-#: to the full series length (a diagonal ``d`` only has ``n - d`` valid
-#: lanes), so once the vectorized work dominates the per-call numpy
-#: overhead the padding costs more than the batching saves; the two
-#: schedules are bit-identical, so the switch is purely a speed choice.
-#: An explicit ``block_size`` always forces the batch.
-DIAG_BATCH_MAX_N = 1024
-
-
 def _diagonal_distances(qt, window, means_a, stds_a, means_b, stds_b, compensated):
-    """Distances along diagonals, honouring the constant-subsequence rules.
-
-    The exact arithmetic of SCRIMP's historical per-diagonal helper
-    (:mod:`repro.matrix_profile.scrimp` now imports it from here), written
-    to broadcast: 1-D inputs give one diagonal, a 2-D ``qt`` with gathered
-    2-D B-side stats gives a whole block with bit-identical lanes.
-    """
+    """Distances along one diagonal, honouring the constant-subsequence
+    rules: the exact arithmetic of SCRIMP's historical per-diagonal helper."""
     a_constant = stds_a == 0.0
     b_constant = stds_b == 0.0
     centered = centered_dot_products(
@@ -1122,56 +1082,6 @@ def _oracle_diagonal(values, window, means, stds, diagonal, distances, indices, 
     indices[columns[better_columns]] = rows[better_columns]
 
 
-def _numpy_diagonal_block(values, window, means, stds, block, distances, indices, compensated):
-    """One block of diagonals, batched — bit-equal to processing them one
-    by one.
-
-    Distances along a diagonal do not depend on the evolving profile
-    state, so the whole block is computed as a 2-D batch (padded products,
-    per-row prefix sums, gathered B-side stats; garbage lanes masked to
-    ``inf``).  The sequential row/column passes are then reproduced by one
-    ``argmin`` over an interleaved stack — layer 0 is the current state,
-    layers ``2t+1``/``2t+2`` are diagonal ``t``'s row/column candidates in
-    application order — because each pass writes each profile entry at
-    most once: the survivor at an entry is simply the minimum over
-    (state, candidates in order), ties to the earliest, which is exactly
-    ``argmin``'s first-occurrence rule.
-    """
-    n = values.size
-    count = distances.size
-    k = block.size
-    lanes = np.arange(n)
-    gather = np.minimum(lanes[None, :] + block[:, None], n - 1)
-    products = values[None, :] * values[gather]
-    products[lanes[None, :] >= (n - block)[:, None]] = 0.0
-    csum = np.empty((k, n + 1), dtype=np.float64)
-    csum[:, 0] = 0.0
-    np.cumsum(products, axis=1, out=csum[:, 1:])
-    qt = csum[:, window:] - csum[:, :count]
-
-    positions = np.arange(count)
-    col_gather = np.minimum(positions[None, :] + block[:, None], count - 1)
-    diag = _diagonal_distances(
-        qt, window, means, stds, means[col_gather], stds[col_gather], compensated
-    )
-    diag[positions[None, :] >= (count - block)[:, None]] = np.inf
-
-    stacked = np.full((2 * k + 1, count), np.inf, dtype=np.float64)
-    stacked[0] = distances
-    for t in range(k):
-        cnt = count - int(block[t])
-        stacked[2 * t + 1, :cnt] = diag[t, :cnt]
-        stacked[2 * t + 2, count - cnt :] = diag[t, :cnt]
-    winner = np.argmin(stacked, axis=0)
-    updated = winner > 0
-    if not updated.any():
-        return
-    distances[:] = stacked[winner, positions]
-    offsets = block[np.maximum(winner - 1, 0) // 2]
-    new_indices = np.where(winner % 2 == 1, positions + offsets, positions - offsets)
-    indices[:] = np.where(updated, new_indices, indices)
-
-
 def run_diagonal_sweep(
     values: np.ndarray,
     window: int,
@@ -1183,76 +1093,47 @@ def run_diagonal_sweep(
     *,
     kernel: "str | None" = None,
     compensated: "bool | None" = None,
-    block_size: "int | None" = None,
 ) -> None:
     """Fold a sequence of SCRIMP diagonals into ``distances``/``indices``.
 
     The arrays are updated **in place** (they are the mutable state of an
     anytime run); ``diagonals`` is visited in the given order, so a
     randomized permutation keeps its anytime convergence behaviour.  All
-    kernels produce bit-identical state for any ``block_size``: diagonal
-    distances are state-independent and every kernel resolves collisions
-    by the same (value, earliest-application) rule, so batching changes
-    the schedule but not one output bit — which is why the anytime
+    kernels produce bit-identical state: diagonal distances are
+    state-independent and every kernel resolves collisions by the same
+    (value, earliest-application) rule, which is why the anytime
     ``fraction``/resume contract survives kernelization untouched.
 
-    ``kernel`` follows :func:`resolve_kernel`; ``"oracle"`` is the
+    ``kernel`` follows :func:`resolve_kernel`: ``"native"`` folds every
+    diagonal in one compiled call, ``"oracle"`` and ``"numpy"`` run the
     historical one-diagonal-at-a-time loop.  ``compensated`` is the
     sweep-level Dekker-compensation decision (``None`` recomputes it from
-    the stats); ``block_size`` only affects the numpy kernel's batch width
-    (default :data:`DEFAULT_DIAG_BLOCK`).
+    the stats).
     """
     if diagonals.size == 0:
         return
-    name = resolve_kernel(kernel)
     if compensated is None:
         compensated = compensation_needed(means, means, stds)
-
-    if name == "oracle":
+    lib = _native_lib() if resolve_kernel(kernel) == "native" else None
+    if lib is None:
         for diagonal in diagonals.tolist():
             _oracle_diagonal(
                 values, window, means, stds, diagonal, distances, indices, compensated
             )
         return
-
-    if name == "native":
-        lib = _native_lib()
-        if lib is None:  # pragma: no cover - racy unload guard
-            name = "numpy"
-        else:
-            diags = np.ascontiguousarray(diagonals, dtype=np.int64)
-            lib.repro_scrimp_block(
-                values,
-                int(values.size),
-                int(window),
-                int(distances.size),
-                means,
-                stds,
-                diags,
-                int(diags.size),
-                1 if compensated else 0,
-                np.empty(values.size + 1, dtype=np.float64),
-                np.empty(distances.size, dtype=np.float64),
-                distances,
-                indices,
-            )
-            return
-
-    if block_size is None:
-        if values.size > DIAG_BATCH_MAX_N:
-            # Bit-identical by the argument above; see DIAG_BATCH_MAX_N for
-            # why padded batches lose once the series is long.
-            for diagonal in diagonals.tolist():
-                _oracle_diagonal(
-                    values, window, means, stds, diagonal, distances, indices, compensated
-                )
-            return
-        block_size = DEFAULT_DIAG_BLOCK
-    width = int(block_size)
-    if width < 1:
-        raise InvalidParameterError(f"block_size must be >= 1, got {block_size}")
-    for start in range(0, diagonals.size, width):
-        block = np.ascontiguousarray(diagonals[start : start + width], dtype=np.int64)
-        _numpy_diagonal_block(
-            values, window, means, stds, block, distances, indices, compensated
-        )
+    diags = np.ascontiguousarray(diagonals, dtype=np.int64)
+    lib.repro_scrimp_block(
+        values,
+        int(values.size),
+        int(window),
+        int(distances.size),
+        means,
+        stds,
+        diags,
+        int(diags.size),
+        1 if compensated else 0,
+        np.empty(values.size + 1, dtype=np.float64),
+        np.empty(distances.size, dtype=np.float64),
+        distances,
+        indices,
+    )

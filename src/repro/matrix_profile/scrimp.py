@@ -19,7 +19,9 @@ on, and the library uses them in two places:
 
 Run to completion (``fraction=1.0``) SCRIMP is exact and its output is
 bit-for-bit comparable with :func:`repro.matrix_profile.stomp.stomp` (the
-tests assert this).
+tests assert this).  The diagonals are folded by
+:func:`~repro.matrix_profile.kernels.run_diagonal_sweep`: one at a time on the
+oracle and numpy kernels, all in one compiled call on the native kernel.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ def scrimp(
     random_state: np.random.Generator | int | None = None,
     state: ScrimpState | None = None,
     kernel: str | None = None,
-    diag_block_size: int | None = None,
 ) -> MatrixProfile:
     """Anytime exact matrix profile via random diagonal traversal.
 
@@ -128,14 +129,11 @@ def scrimp(
     kernel:
         Diagonal-sweep kernel (see
         :func:`~repro.matrix_profile.kernels.run_diagonal_sweep`):
-        ``"oracle"`` processes one diagonal at a time, ``"numpy"`` batches
-        blocks of diagonals, ``"native"`` runs the compiled loop.  All
-        kernels produce bit-identical profiles for every ``fraction`` and
-        resume point — batching respects the randomized visiting order at
-        block granularity and the merge rule is order-exact — so the
-        anytime contract is unchanged.
-    diag_block_size:
-        Batch width of the ``"numpy"`` kernel (ignored by the others).
+        ``"oracle"`` and ``"numpy"`` process one diagonal at a time,
+        ``"native"`` runs the compiled loop.  All kernels produce
+        bit-identical profiles for every ``fraction`` and resume point —
+        the merge rule is order-exact — so the anytime contract is
+        unchanged.
 
     Returns
     -------
@@ -193,7 +191,6 @@ def scrimp(
         state.indices,
         kernel=kernel,
         compensated=compensated,
-        block_size=diag_block_size,
     )
     state.diagonals_done += int(to_process.size)
 
@@ -264,14 +261,13 @@ def scrimp_pp(
     stats: SlidingStats | None = None,
     random_state: np.random.Generator | int | None = None,
     kernel: str | None = None,
-    diag_block_size: int | None = None,
 ) -> MatrixProfile:
     """SCRIMP++ — PreSCRIMP seeding followed by a (possibly partial) SCRIMP sweep.
 
     With ``fraction=1.0`` the result is exact; with a smaller fraction the
     PreSCRIMP seed guarantees the approximation is already close while the
-    diagonal sweep keeps tightening it.  ``kernel``/``diag_block_size``
-    select the diagonal-sweep kernel exactly as in :func:`scrimp`.
+    diagonal sweep keeps tightening it.  ``kernel`` selects the
+    diagonal-sweep kernel exactly as in :func:`scrimp`.
     """
     values = validate_series(series)
     window = validate_subsequence_length(values.size, window)
@@ -304,7 +300,6 @@ def scrimp_pp(
         random_state=random_state,
         state=state,
         kernel=kernel,
-        diag_block_size=diag_block_size,
     )
 
 

@@ -9,12 +9,11 @@ sliding dot products of consecutive query subsequences obey the recurrence::
 so only the first distance profile needs an FFT.  This implementation is the
 fixed-length work-horse of the library: VALMOD uses it for the base length
 ``l_min`` and the ``STOMP-range`` baseline re-runs it for every length in the
-range.
+range.  Its one per-row hook is ``ingest_store``, through which VALMOD's base
+pass hands every row's centered dot products to the partial-profile store.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ def stomp(
     *,
     exclusion_radius: int | None = None,
     stats: SlidingStats | None = None,
-    profile_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     ingest_store=None,
     engine: object | None = None,
     n_jobs: int | None = None,
@@ -55,23 +53,15 @@ def stomp(
         Trivial-match radius; defaults to ``ceil(m / 4)``.
     stats:
         Optional precomputed sliding statistics of ``series``.
-    profile_callback:
-        Optional hook invoked as ``callback(offset, dot_products, distances)``
-        for every query offset, with no exclusion zone applied to either
-        array.  ``dot_products`` is a **read-only copy** of the row's
-        products on the **mean-centered** series (the space the sweep runs
-        in — see the Notes) and ``distances`` is a fresh array the callback
-        owns outright; both are safe to keep across rows (the sweep never
-        touches them again).  VALMOD's partial-profile store ingests the
-        centered form directly via ``ingest_store``, which is the preferred
-        hook because it does not force the engine serial.
     ingest_store:
         An empty :class:`~repro.core.partial_profile.PartialProfileStore`
-        whose ``base_length`` equals ``window``: every row's centered dot
-        products are ingested while the profile is computed (VALMOD's base
-        pass).  With ``engine=`` the ingest happens block-locally inside the
-        engine and the per-block fragments are merged — the base pass
-        parallelises like any other profile computation.
+        whose ``base_length`` equals ``window``: every row's dot products,
+        taken on the **mean-centered** series (the space the sweep runs in
+        — see the Notes), are ingested while the profile is computed
+        (VALMOD's base pass).  With ``engine=`` the ingest happens
+        block-locally inside the engine and the per-block fragments are
+        merged — the base pass parallelises like any other profile
+        computation.
     engine:
         ``None`` (default) runs this module's serial single-sweep loop —
         the correctness oracle.  ``"serial"``, ``"parallel"``, ``"auto"``
@@ -86,9 +76,7 @@ def stomp(
         Which sweep kernel advances the recurrence — ``"auto"`` (default;
         honours ``REPRO_KERNEL``), ``"oracle"``, ``"numpy"`` or
         ``"native"``; see :mod:`repro.matrix_profile.kernels`.  All
-        kernels produce identical profiles and indices; a
-        ``profile_callback`` (which needs full distance rows) always runs
-        on the oracle kernel.
+        kernels produce identical profiles and indices.
     centered_first_row_qt:
         Optional precomputed sliding dot products of the first query
         (``QT[0, j]`` for every ``j``) — the one FFT product STOMP needs —
@@ -118,13 +106,9 @@ def stomp(
     recurrence mean-centered, cutting the drift at the source — the same
     treatment the MASS / distance-profile paths received earlier.  Since the
     partial-profile store went mean-centered too, the sweep is centered
-    unconditionally: the old raw-value callback contract (and the ~1e-3
+    unconditionally: the old raw-value row contract (and the ~1e-3
     VALMOD distance error it carried at large offsets) is gone.
     """
-    if profile_callback is not None and ingest_store is not None:
-        raise InvalidParameterError(
-            "pass either profile_callback or ingest_store, not both"
-        )
     if engine is not None:
         from repro.engine.partition import partitioned_stomp
 
@@ -137,7 +121,6 @@ def stomp(
             kernel=kernel,
             exclusion_radius=exclusion_radius,
             stats=stats,
-            profile_callback=profile_callback,
             ingest_store=ingest_store,
         )
     values = validate_series(series)
@@ -164,9 +147,9 @@ def stomp(
         first_query = sweep_values[:window]
         first_row_dots = sliding_dot_product(first_query, sweep_values)
 
-    # The whole sweep — recurrence, row reductions, hook dispatch — lives
-    # in the kernel layer; the serial contract is one unbroken recurrence
-    # chain (reseed_interval=None).
+    # The whole sweep — recurrence, row reductions, ingest — lives in the
+    # kernel layer; the serial contract is one unbroken recurrence chain
+    # (reseed_interval=None).
     profile, indices = run_sweep(
         sweep_values,
         window,
@@ -177,7 +160,6 @@ def stomp(
         0,
         count,
         kernel=kernel,
-        profile_callback=profile_callback,
         ingest=ingest_store,
     )
 

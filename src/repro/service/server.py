@@ -920,8 +920,10 @@ class AnalysisService:
                 self._compute, _execute_worker_task, task
             )
         except BrokenProcessPool as error:
+            # The executor already dropped the broken pool; the next job
+            # spawns a fresh one.
             raise ServiceError(
-                f"the worker process pool died: {error}", status=500
+                f"a worker process died during this job: {error}", status=500
             ) from error
         # Spans join the open buffer (or collector), the metric delta folds
         # into the live registry.

@@ -36,7 +36,7 @@ def test_batch_matches_individual_calls_and_preserves_order(walk, ecg):
     jobs = [
         ProfileJob(walk, window=32),
         ProfileJob(ecg, window=50),
-        ProfileJob(walk, lengths=(16, 24, 40)),
+        ProfileJob(walk, window=24),
         ProfileJob(walk, window=8),
     ]
     outcomes = compute_profiles(jobs, executor="serial")
@@ -46,10 +46,7 @@ def test_batch_matches_individual_calls_and_preserves_order(walk, ecg):
 
     _assert_profile_equal(stomp(walk, 32), outcomes[0].unwrap())
     _assert_profile_equal(stomp(ecg, 50), outcomes[1].unwrap())
-    by_length = outcomes[2].unwrap()
-    assert sorted(by_length) == [16, 24, 40]
-    for length, profile in by_length.items():
-        _assert_profile_equal(stomp(walk, length), profile)
+    _assert_profile_equal(stomp(walk, 24), outcomes[2].unwrap())
     _assert_profile_equal(stomp(walk, 8), outcomes[3].unwrap())
 
 
@@ -82,11 +79,11 @@ def test_per_job_exceptions_do_not_kill_the_batch(walk, executor):
 def test_job_validation():
     series = np.arange(50, dtype=float)
     with pytest.raises(InvalidParameterError):
-        ProfileJob(series)  # neither window nor lengths
+        ProfileJob(series)  # no window
     with pytest.raises(InvalidParameterError):
-        ProfileJob(series, window=8, lengths=(8,))  # both
+        ProfileJob(series, window=8, series_b=series, query_offset=3)  # join + offset
     with pytest.raises(InvalidParameterError):
-        ProfileJob(series, lengths=())  # empty range
+        ProfileJob(series, window=8, row_range=(0, 4))  # row block without a join
     with pytest.raises(InvalidParameterError):
         compute_profiles([object()])  # not a ProfileJob
 
@@ -166,7 +163,7 @@ def test_query_offset_jobs_parallel_match_serial(walk):
 
 def test_query_offset_requires_window(walk):
     with pytest.raises(InvalidParameterError):
-        ProfileJob(walk, lengths=(16, 24), query_offset=3)
+        ProfileJob(walk, query_offset=3)
 
 
 def test_query_offset_without_exclusion_returns_raw_profile(walk):

@@ -177,19 +177,3 @@ def test_engine_knob_on_stomp_rejects_unknown_engine():
     series = np.array(generate_random_walk(120, random_state=1).values)
     with pytest.raises(InvalidParameterError):
         stomp(series, 16, engine="gpu")
-
-
-def test_profile_callback_runs_in_row_order_with_any_executor():
-    """Callbacks are order-dependent; the engine must serialise for them."""
-    series = np.array(generate_random_walk(200, random_state=3).values)
-    seen: list[int] = []
-    profile = partitioned_stomp(
-        series,
-        24,
-        executor=ParallelExecutor(n_jobs=2),
-        block_size=40,
-        profile_callback=lambda offset, qt, distances: seen.append(offset),
-    )
-    assert seen == list(range(len(profile)))
-    reference = stomp(series, 24)
-    _assert_matches(reference, profile, "callback path")

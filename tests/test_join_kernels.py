@@ -1,10 +1,10 @@
-"""Join/anytime-tier kernel pins: AB-join recurrence and batched SCRIMP.
+"""Join/anytime-tier kernel pins: AB-join recurrence and SCRIMP diagonals.
 
 The kernelization PR promised that the fast join kernels are *bit-for-bit*
 equal to the historical per-subsequence MASS loop (now ``kernel="oracle"``)
-whenever reseeding is disabled, and that the batched SCRIMP diagonal sweep
+whenever reseeding is disabled, and that the compiled SCRIMP diagonal sweep
 is bit-identical to the one-diagonal-at-a-time oracle for **every**
-fraction, resume point and block size.  Each promise is pinned here:
+fraction and resume point.  Each promise is pinned here:
 
 * ``ab_join``/``join_sweep_rows``: numpy and native kernels at
   ``reseed_interval=0`` match the oracle exactly — distances AND indices —
@@ -14,8 +14,9 @@ fraction, resume point and block size.  Each promise is pinned here:
   bitwise, and with the oracle on indices (distances to 1e-8);
 * row-range partitioning and the ``engine=`` path reproduce the serial
   sweep;
-* ``scrimp``/``scrimp_pp``: all kernels bitwise identical at any
-  ``diag_block_size``, full or partial fractions, and resumed states;
+* ``scrimp``/``scrimp_pp`` and ``run_diagonal_sweep``: all kernels
+  bitwise identical for full or partial fractions, for a diagonal order
+  folded in one call or in chunks, and from resumed states;
 * ``mpdist`` rides the same guarantees through ``ab_join_both``;
 * an explicit ``kernel="native"`` request degrades to numpy with a single
   RuntimeWarning when no compiler is available.
@@ -31,7 +32,8 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.matrix_profile import _native, kernels
 from repro.matrix_profile.ab_join import JoinProfile, ab_join, ab_join_both, join_sweep_rows
-from repro.matrix_profile.kernels import available_kernels
+from repro.matrix_profile.exclusion import default_exclusion_radius
+from repro.matrix_profile.kernels import available_kernels, run_diagonal_sweep
 from repro.matrix_profile.mpdist import mpdist
 from repro.matrix_profile.scrimp import ScrimpState, pre_scrimp, scrimp, scrimp_pp
 from repro.stats.sliding import SlidingStats
@@ -244,21 +246,37 @@ class TestScrimpKernels:
 
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     @pytest.mark.parametrize("fraction", [1.0, 0.35])
-    @pytest.mark.parametrize("block", [None, 1, 3, 10**6])
-    def test_bitwise_equal_to_oracle(self, kernel, fraction, block):
-        oracle = scrimp(
-            self.SERIES, self.WINDOW, fraction=fraction, random_state=11, kernel="oracle"
-        )
-        fast = scrimp(
-            self.SERIES,
-            self.WINDOW,
-            fraction=fraction,
-            random_state=11,
-            kernel=kernel,
-            diag_block_size=block,
-        )
-        np.testing.assert_array_equal(fast.distances, oracle.distances)
-        np.testing.assert_array_equal(fast.indices, oracle.indices)
+    @pytest.mark.parametrize("chunk", [None, 1, 3, 10**6])
+    def test_bitwise_equal_to_oracle(self, kernel, fraction, chunk):
+        """A randomized diagonal order folded by ``kernel`` — in one call
+        (``None``) or ``chunk`` diagonals per call, as an interrupted and
+        resumed run would — leaves the oracle's state bit for bit."""
+        means, stds = SlidingStats(self.SERIES).mean_std(self.WINDOW)
+        count = means.size
+        diagonals = np.arange(default_exclusion_radius(self.WINDOW) + 1, count)
+        order = np.random.default_rng(11).permutation(diagonals)
+        order = order[: max(1, round(fraction * order.size))]
+
+        def fold(name, width):
+            distances = np.full(count, np.inf)
+            indices = np.full(count, -1, dtype=np.int64)
+            for start in range(0, order.size, width):
+                run_diagonal_sweep(
+                    self.SERIES,
+                    self.WINDOW,
+                    means,
+                    stds,
+                    order[start : start + width],
+                    distances,
+                    indices,
+                    kernel=name,
+                )
+            return distances, indices
+
+        oracle = fold("oracle", order.size)
+        fast = fold(kernel, chunk or order.size)
+        np.testing.assert_array_equal(fast[0], oracle[0])
+        np.testing.assert_array_equal(fast[1], oracle[1])
 
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_resume_from_seeded_state_bitwise(self, kernel):
@@ -304,10 +322,6 @@ class TestScrimpKernels:
         )
         np.testing.assert_array_equal(fast.distances, oracle.distances)
         np.testing.assert_array_equal(fast.indices, oracle.indices)
-
-    def test_invalid_block_size_raises(self):
-        with pytest.raises(InvalidParameterError):
-            scrimp(self.SERIES, self.WINDOW, kernel="numpy", diag_block_size=0)
 
 
 @pytest.fixture

@@ -11,10 +11,8 @@ promises, each pinned here:
   SKIMP);
 * the fast path makes **no per-row O(n) allocations** (the old loop
   allocated three O(n) temporaries per row);
-* the hooks no longer alias the recurrence buffer: ``profile_callback``
-  receives a read-only copy plus an owned distances array (safe to keep
-  across rows), ``ingest`` receives a read-only view consumed during the
-  call;
+* the ingest hook no longer aliases the recurrence buffer: it receives a
+  read-only view consumed during the call;
 * VALMOD's partial-profile store comes out byte for byte the same from
   every kernel (the native one retains rows in C, ties decided by the
   retention rule), its native advance and evaluation match the numpy
@@ -230,32 +228,6 @@ def test_numpy_kernel_allocation_count_is_row_independent(monkeypatch):
 # --------------------------------------------------------------------- #
 # aliasing contract (satellite: the qt use-after-advance fix)
 # --------------------------------------------------------------------- #
-def test_profile_callback_rows_safe_to_keep_across_rows():
-    values, window = SERIES_CASES["walk"]
-    kept_qt, kept_distances, snapshots = [], [], []
-
-    def callback(offset, dot_products, distances):
-        kept_qt.append(dot_products)
-        kept_distances.append(distances)
-        snapshots.append((dot_products.copy(), distances.copy()))
-
-    stomp(values, window, profile_callback=callback)
-
-    assert len(kept_qt) == values.size - window + 1
-    for row, (qt, distances) in enumerate(zip(kept_qt, kept_distances)):
-        qt_then, distances_then = snapshots[row]
-        # The arrays a callback keeps must still hold row ``row``'s values
-        # after the sweep advanced past it — the old code handed out the
-        # buffer the recurrence mutated next row.
-        np.testing.assert_array_equal(qt, qt_then)
-        np.testing.assert_array_equal(distances, distances_then)
-        assert not qt.flags.writeable  # read-only copy
-        assert distances.flags.writeable  # owned outright
-    # Owned means no hidden sharing between consecutive rows either.
-    assert not np.shares_memory(kept_distances[0], kept_distances[1])
-    assert not np.shares_memory(kept_qt[0], kept_qt[1])
-
-
 class _IngestRecorder:
     """Minimal ingest hook: copies what it keeps, as the contract demands.
 

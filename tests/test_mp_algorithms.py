@@ -48,9 +48,21 @@ class TestStompBasics:
         assert profile.distances[best.offset_b] <= best.distance + 1e-9
 
     def test_callback_invoked_for_every_offset(self, small_random_series):
-        calls = []
-        stomp(small_random_series, 16, profile_callback=lambda i, qt, d: calls.append(i))
-        assert calls == list(range(small_random_series.size - 16 + 1))
+        """The per-row ingest hook sees every query offset, in row order."""
+
+        class OffsetRecorder:
+            def __init__(self):
+                self.offsets = []
+
+            def require_ready_for_ingest(self, window):
+                pass
+
+            def ingest_centered_profile(self, offset, dot_products):
+                self.offsets.append(offset)
+
+        recorder = OffsetRecorder()
+        stomp(small_random_series, 16, kernel="oracle", ingest_store=recorder)
+        assert recorder.offsets == list(range(small_random_series.size - 16 + 1))
 
     def test_planted_motif_is_global_best(self, planted_series):
         series, truth = planted_series

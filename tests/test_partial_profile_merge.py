@@ -46,16 +46,24 @@ def _series(seed: int, n: int = 320, offset: float = 0.0) -> np.ndarray:
     return offset + np.cumsum(rng.normal(size=n))
 
 
+class _RowRecorder:
+    """Per-row ingest hook that keeps a copy of every row, in row order."""
+
+    def __init__(self):
+        self.rows = []
+
+    def require_ready_for_ingest(self, window):
+        pass
+
+    def ingest_centered_profile(self, offset, dot_products):
+        self.rows.append(np.array(dot_products))
+
+
 def _captured_rows(values: np.ndarray, stats: SlidingStats) -> list:
     """Per-row centered dot products of the serial sweep, in row order."""
-    rows = []
-    stomp(
-        values,
-        BASE,
-        stats=stats,
-        profile_callback=lambda offset, qt, _d: rows.append(np.array(qt)),
-    )
-    return rows
+    recorder = _RowRecorder()
+    stomp(values, BASE, stats=stats, kernel="oracle", ingest_store=recorder)
+    return recorder.rows
 
 
 def _ingested(store: PartialProfileStore, rows) -> PartialProfileStore:

@@ -14,7 +14,9 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import os
 import pickle
+import signal
 import socket
 import threading
 import time
@@ -27,7 +29,7 @@ from repro.api.cache import series_digest
 from repro.api.registry import AlgorithmSpec, register, unregister
 from repro.api.requests import AnalysisRequest
 from repro.api.session import Analysis
-from repro.engine.batch import ProfileJob, _prepare_parallel_tasks, compute_profiles
+from repro.engine.batch import ProfileJob, _prepare_parallel_tasks
 from repro.engine.shm import (
     BlobHandle,
     SharedArraysHandle,
@@ -96,20 +98,6 @@ class TestBlobHandle:
     def test_handle_for_unknown_digest_is_none(self, tmp_path):
         store = SeriesStore(tmp_path)
         assert store.handle("0" * 40) is None
-
-    def test_profile_job_accepts_blob_handle(self, tmp_path, values):
-        store = SeriesStore(tmp_path)
-        digest = store.put(values)
-        handle = store.handle(digest)
-        via_handle = compute_profiles(
-            [ProfileJob(handle, window=32)], executor="serial"
-        )[0].unwrap()
-        via_array = compute_profiles(
-            [ProfileJob(values, window=32)], executor="serial"
-        )[0].unwrap()
-        np.testing.assert_allclose(
-            via_handle.distances, via_array.distances, atol=1e-10
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -523,6 +511,47 @@ class TestProcessWorkers:
             )
             assert status == 422
             assert "error" in payload
+
+    @pytest.mark.skipif(
+        not _process_pools_work(), reason="process pools unavailable here"
+    )
+    def test_dead_worker_fails_one_request_then_the_pool_respawns(self, values):
+        """A worker killed mid-job answers that request with a 500; the
+        executor drops the broken pool, so later requests run on a fresh
+        one instead of answering 500 forever."""
+        parent = os.getpid()
+
+        def killing_runner(session, **params):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the worker-killing runner ran in the parent")
+
+        register(
+            AlgorithmSpec(
+                kind="mpdist",
+                key="_test_kill_worker",
+                runner=killing_runner,
+                description="test-only runner that kills its worker process",
+            )
+        )
+        try:
+            config = ServiceConfig(port=0, workers=1, worker_kind="process")
+            with BackgroundService(config) as background:
+                client = ServiceClient(port=background.port, timeout=300)
+                if client.stats()["worker_kind"] != "process":
+                    pytest.skip("the service degraded to thread workers")
+                status, _ = client.analyze_raw(
+                    values, AnalysisRequest(kind="mpdist", algo="_test_kill_worker")
+                )
+                assert status == 500
+                for window in (16, 24, 32):
+                    status, payload = client.analyze_raw(
+                        values,
+                        AnalysisRequest(kind="matrix_profile", params={"window": window}),
+                    )
+                    assert status == 200, payload
+        finally:
+            unregister("mpdist", "_test_kill_worker")
 
     def test_degrades_to_threads_where_pools_fail(self, values, monkeypatch):
         """worker_kind='process' on a pool-hostile platform must start (with

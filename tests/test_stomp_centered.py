@@ -11,10 +11,10 @@ error at the source — these tests pin the improvement at 1e-5 (observed
 ~1.6e-7) against the definition-level brute-force oracle.
 
 Since the partial-profile store went mean-centered (PR 4), the sweep is
-centered unconditionally: ``profile_callback`` and the store ingest both
-receive centered dot products, and VALMOD's reported distances get the same
-~1e-6 accuracy at offset 1e6 as every other path (pinned at 1e-5 below —
-they used to carry ~1e-3 relative error by the old raw-value contract).
+centered unconditionally: the per-row ingest hook receives centered dot
+products, and VALMOD's reported distances get the same ~1e-6 accuracy at
+offset 1e6 as every other path (pinned at 1e-5 below — they used to carry
+~1e-3 relative error by the old raw-value contract).
 """
 
 from __future__ import annotations
@@ -70,31 +70,40 @@ def test_session_memoized_first_row_matches_fresh_sweep(offset_series):
     np.testing.assert_array_equal(via_session.indices, fresh.indices)
 
 
+class _RowRecorder:
+    """Per-row ingest hook that keeps a copy of every row it is handed."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def require_ready_for_ingest(self, window):
+        pass
+
+    def ingest_centered_profile(self, offset, dot_products):
+        self.rows[offset] = np.array(dot_products)
+
+
 def test_callback_sweep_is_centered_too(offset_series, oracle):
-    """A profile_callback no longer forces the raw-value sweep: the profile
-    computed alongside a callback must carry the centered accuracy."""
-    with_callback = stomp(offset_series, WINDOW, profile_callback=lambda o, qt, d: None)
-    drift = float(np.max(np.abs(with_callback.distances - oracle.distances)))
+    """A per-row hook does not force a raw-value sweep: the profile the
+    oracle kernel computes alongside the ingest hook carries the centered
+    accuracy."""
+    with_hook = stomp(offset_series, WINDOW, kernel="oracle", ingest_store=_RowRecorder())
+    drift = float(np.max(np.abs(with_hook.distances - oracle.distances)))
     assert drift <= 1e-5, drift
-    np.testing.assert_array_equal(with_callback.indices, oracle.indices)
+    np.testing.assert_array_equal(with_hook.indices, oracle.indices)
 
 
 def test_callback_contract_is_centered(offset_series):
-    """The callback receives mean-centered dot products — row 0 must equal
-    the sliding products of the centered series exactly (and be nothing
-    like the raw products, which sit ~1e13 away on this series)."""
-    seen = {}
-
-    def capture(offset, dot_products, _distances):
-        if offset == 0:
-            seen["qt"] = np.array(dot_products)
-
-    stomp(offset_series, WINDOW, profile_callback=capture)
+    """The ingest hook receives mean-centered dot products — row 0 must
+    equal the sliding products of the centered series exactly (and be
+    nothing like the raw products, which sit ~1e13 away on this series)."""
+    recorder = _RowRecorder()
+    stomp(offset_series, WINDOW, kernel="oracle", ingest_store=recorder)
     centered_series = SlidingStats(offset_series).centered_values
     expected = sliding_dot_product(centered_series[:WINDOW], centered_series)
-    np.testing.assert_allclose(seen["qt"], expected, rtol=1e-12)
+    np.testing.assert_allclose(recorder.rows[0], expected, rtol=1e-12)
     raw = sliding_dot_product(offset_series[:WINDOW], offset_series)
-    assert float(np.min(np.abs(raw - seen["qt"]))) > 1e10
+    assert float(np.min(np.abs(raw - recorder.rows[0]))) > 1e10
 
 
 def test_centered_sweep_is_identical_on_well_scaled_series():
