@@ -125,9 +125,10 @@ def format_pruning_power(stats: Sequence[PruningStats]) -> str:
     """One-line overall pruning power (the paper's Section 6 headline
     number): the fraction of per-length profiles the lower bound kept
     valid, i.e. that never needed recomputation.  The same value is
-    published live as the ``valmod.pruning_power.overall`` gauge
-    (per-length: ``valmod.pruning_power.len<L>``) — ``repro metrics``
-    reads it without re-running anything."""
+    published live as the ``valmod.pruning_power.overall`` gauge —
+    ``repro metrics`` reads it without re-running anything.  Per-length
+    figures have no gauge; they are the rows of
+    :func:`format_pruning_table`."""
     total = sum(stat.num_profiles for stat in stats)
     valid = sum(stat.num_valid for stat in stats)
     overall = 1.0 if total == 0 else valid / total

@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="print observability metrics: scrape a running service's "
         "GET /metrics, or run VALMOD locally and report the registry "
-        "(including the per-length pruning-power gauges)",
+        "(including the overall pruning-power gauge)",
     )
     metrics.add_argument(
         "--url", default=None, help="running service endpoint to scrape"
@@ -849,9 +849,10 @@ def _command_metrics(args: argparse.Namespace) -> int:
             }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
-    # Local mode: optionally run VALMOD first so the paper-facing gauges
-    # (valmod.pruning_power.len<L>, valmod.pruning_power.overall) are
-    # populated, then print the process registry grouped by family.
+    # Local mode: optionally run VALMOD first so the paper-facing gauge
+    # valmod.pruning_power.overall is populated (per-length pruning lives on
+    # the result, not in the registry), then print the process registry
+    # grouped by family.
     if args.input or args.workload:
         if args.min_length is None or args.max_length is None:
             raise InvalidParameterError(

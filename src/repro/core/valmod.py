@@ -53,28 +53,21 @@ _VALMOD_NON_VALID = _VALMOD_METRICS.counter("non_valid_profiles")
 
 
 def publish_pruning_metrics(length_results: "Dict[int, LengthResult]") -> None:
-    """Publish one run's per-length pruning power to the metrics registry.
+    """Publish one run's overall pruning power to the metrics registry.
 
     Pruning power (the paper's Figure 2 quantity) is the fraction of
     partial distance profiles certified *without* an exact recomputation —
-    :attr:`~repro.core.results.PruningStats.valid_fraction`.  Each length
-    becomes a gauge ``valmod.pruning_power.len<L>`` (last run wins, which
-    is the useful reading: the gauges always describe the most recent
-    VALMOD invocation) plus an aggregate ``valmod.pruning_power.overall``
-    weighted by per-length profile counts.  ``repro metrics`` and
-    ``repro report`` both read these names.
+    :attr:`~repro.core.results.PruningStats.valid_fraction`.  The run's
+    figure, weighted by per-length profile counts, becomes the gauge
+    ``valmod.pruning_power.overall`` (last run wins), which ``repro
+    metrics`` reads.  Per-length figures stay on the result
+    (``length_results[L].pruning``, ``pruning_summary()``) rather than
+    becoming one metric name per length ever run.
     """
     if not obs.metrics_enabled() or not length_results:
         return
-    total_profiles = 0
-    total_valid = 0
-    for length, result in length_results.items():
-        pruning = result.pruning
-        _VALMOD_METRICS.gauge(f"pruning_power.len{int(length)}").set(
-            pruning.valid_fraction
-        )
-        total_profiles += pruning.num_profiles
-        total_valid += pruning.num_valid
+    total_profiles = sum(result.pruning.num_profiles for result in length_results.values())
+    total_valid = sum(result.pruning.num_valid for result in length_results.values())
     overall = 1.0 if total_profiles == 0 else total_valid / total_profiles
     _VALMOD_METRICS.gauge("pruning_power.overall").set(overall)
 
@@ -104,16 +97,15 @@ def valmod(
     array or a :class:`~repro.series.DataSeries`.
 
     ``engine`` / ``n_jobs`` / ``block_size`` route the base-length STOMP
-    pass through the block-partitioned engine (see :mod:`repro.engine`) and
-    batch the per-length exact recomputations (independent MASS calls for
-    non-valid profiles) through
-    :func:`repro.engine.batch.compute_profiles`.  The base pass ingests the
-    partial-profile store block-locally (each block builds a store fragment,
-    the fragments merge into the exact serial store), so the base pass
-    parallelises like any other profile computation.  ``kernel``
-    selects the sweep kernel of the base pass
-    (:mod:`repro.matrix_profile.kernels`); on ``"native"`` the
-    partial-profile store's ingest, advance and evaluation run in C too.
+    pass through the block-partitioned engine (see :mod:`repro.engine`).
+    Each block ingests into a partial-profile store fragment and the
+    fragments merge into the exact serial store, so the base pass
+    parallelises like any other profile computation.  The per-length exact
+    recomputations always run in-process, one MASS call at a time: each is
+    ~0.1 ms, far below what a pool dispatch costs.  ``kernel`` selects the
+    sweep kernel of the base pass (:mod:`repro.matrix_profile.kernels`); on
+    ``"native"`` the partial-profile store's ingest, advance and evaluation
+    run in C too.
 
     Returns
     -------
@@ -162,8 +154,9 @@ def valmod_with_config(
     While a trace is being collected the run records one
     ``valmod.base_pass`` span, one ``valmod.evaluate`` span per length and
     one ``valmod.recompute`` span per length with recomputations (its
-    duration is the sum of that length's recompute batches), each tagged
-    with the kernel that ran — ``mass`` for the recomputations.
+    duration is the sum of that length's MASS calls, ``profiles`` their
+    count), each tagged with the kernel that ran — ``mass`` for the
+    recomputations.
     """
     series_name = series.name if isinstance(series, DataSeries) else "series"
     values = validate_series(series)
@@ -225,10 +218,8 @@ def valmod_with_config(
     total_recomputed = 0
     total_non_valid = 0
     for length in config.lengths[1:]:
-        result, recomputed = _evaluate_length(
-            values, stats, store, config, length, engine=engine, n_jobs=n_jobs
-        )
-        total_recomputed += recomputed
+        result = _evaluate_length(values, stats, store, config, length)
+        total_recomputed += result.pruning.num_recomputed
         total_non_valid += result.pruning.num_non_valid
         length_results[length] = result
         valmap.update_from_pairs(result.motifs, both_members=config.update_both_members)
@@ -261,67 +252,21 @@ def valmod_with_config(
     )
 
 
-def _recompute_exact(
-    values: np.ndarray,
-    stats: SlidingStats,
-    length: int,
-    radius: int,
-    offsets: np.ndarray,
-    engine: object | None,
-    n_jobs: int | None,
-) -> List[np.ndarray]:
-    """Exact distance profiles of ``offsets``, batched through the engine.
-
-    Each profile is one independent MASS call; with an engine configured
-    they are dispatched as one batch of single-offset
-    :class:`~repro.engine.batch.ProfileJob` s (the ROADMAP's "parallelise
-    VALMOD's per-length recomputed distance profiles" follow-up).  The
-    serial fallback keeps the original one-call-at-a-time oracle path.
-    """
-    if engine is None or offsets.size == 1:
-        return [
-            distance_profile(
-                values, int(offset), length, stats=stats, exclusion_radius=radius
-            )
-            for offset in offsets.tolist()
-        ]
-    from repro.engine.batch import ProfileJob, compute_profiles
-
-    jobs = [
-        ProfileJob(values, window=length, query_offset=int(offset), exclusion_radius=radius)
-        for offset in offsets.tolist()
-    ]
-    return [
-        outcome.unwrap()
-        for outcome in compute_profiles(jobs, executor=engine, n_jobs=n_jobs)
-    ]
-
-
 def _evaluate_length(
     values: np.ndarray,
     stats: SlidingStats,
     store: PartialProfileStore,
     config: ValmodConfig,
     length: int,
-    *,
-    engine: object | None = None,
-    n_jobs: int | None = None,
-) -> tuple[LengthResult, int]:
+) -> LengthResult:
     """Top-k motif pairs of one length, recomputing profiles only when required.
 
-    With an engine configured, a non-valid candidate triggers the batched
-    recomputation of the non-exact offsets whose selection value is below
-    the smallest certified-exact value: each of those offsets would become
-    the argmin (and be recomputed serially) before any exact candidate can
-    be selected, so recomputing them together preserves exactness while
-    turning the per-length recomputations into one engine batch.  The batch
-    is capped per round (smallest bounds first; the argmin candidate is the
-    global minimum, hence always included) so a length where pruning barely
-    certified anything cannot degenerate into recomputing the whole profile
-    set in one go.  The batch may recompute profiles the serial loop would
-    have skipped (when a freshly recomputed pair's exclusion zone wipes a
-    candidate out), which only affects the ``num_recomputed`` counter,
-    never the reported pairs.
+    The paper's step 3: the smallest selection value is taken next; when it
+    belongs to a non-valid profile (a lower bound, not a certified minimum)
+    that one profile is recomputed exactly with one MASS
+    :func:`distance_profile` call and the selection resumes.  Hence
+    ``num_recomputed`` counts exactly the profiles the selection needed
+    (Figure 2), whichever executor ran the base pass.
     """
     with obs.span("valmod.evaluate", length=length, kernel=store.kernel):
         evaluation = store.evaluate(length)
@@ -329,7 +274,6 @@ def _evaluate_length(
     tracing = obs.tracing_active()
     recompute_wall = 0.0
     recompute_seconds = 0.0
-    batches = 0
 
     exact = np.array(evaluation.valid, dtype=bool)
     min_distances = np.array(evaluation.min_distances, dtype=np.float64)
@@ -344,41 +288,25 @@ def _evaluate_length(
         if not np.isfinite(working[candidate]):
             break
         if not exact[candidate]:
-            if engine is not None:
-                exact_working = working[exact]
-                min_exact = (
-                    float(np.min(exact_working)) if exact_working.size else np.inf
-                )
-                chunk = np.flatnonzero(
-                    ~exact & np.isfinite(working) & (working <= min_exact)
-                )
-                cap = max(16, 4 * config.top_k)
-                if chunk.size > cap:
-                    smallest = np.argpartition(working[chunk], cap - 1)[:cap]
-                    chunk = chunk[smallest]
-            else:
-                chunk = np.array([candidate], dtype=np.int64)
             if tracing:
-                if not batches:
+                if not recomputed:
                     recompute_wall = time.time()
-                batch_started = time.perf_counter()
-            profiles = _recompute_exact(
-                values, stats, length, radius, chunk, engine, n_jobs
+                started = time.perf_counter()
+            profile = distance_profile(
+                values, candidate, length, stats=stats, exclusion_radius=radius
             )
             if tracing:
-                recompute_seconds += time.perf_counter() - batch_started
-                batches += 1
-            for offset, profile in zip(chunk.tolist(), profiles):
-                best = int(np.argmin(profile))
-                if np.isfinite(profile[best]):
-                    min_distances[offset] = float(profile[best])
-                    nearest[offset] = best
-                else:
-                    min_distances[offset] = np.inf
-                    nearest[offset] = -1
-                exact[offset] = True
-                working[offset] = min_distances[offset]
-                recomputed += 1
+                recompute_seconds += time.perf_counter() - started
+            best = int(np.argmin(profile))
+            if np.isfinite(profile[best]):
+                min_distances[candidate] = float(profile[best])
+                nearest[candidate] = best
+            else:
+                min_distances[candidate] = np.inf
+                nearest[candidate] = -1
+            exact[candidate] = True
+            working[candidate] = min_distances[candidate]
+            recomputed += 1
             continue
         if nearest[candidate] < 0:
             apply_exclusion_zone(working, candidate, radius)
@@ -394,13 +322,12 @@ def _evaluate_length(
         apply_exclusion_zone(working, candidate, radius)
         apply_exclusion_zone(working, int(nearest[candidate]), radius)
 
-    if batches:
+    if tracing and recomputed:
         obs.record_span(
             "valmod.recompute",
             recompute_wall,
             recompute_seconds,
             length=length,
-            batches=batches,
             profiles=recomputed,
             kernel="mass",
         )
@@ -412,4 +339,4 @@ def _evaluate_length(
         num_recomputed=recomputed,
         min_lb_abs=evaluation.min_lb_abs,
     )
-    return LengthResult(length=length, motifs=pairs, pruning=pruning), recomputed
+    return LengthResult(length=length, motifs=pairs, pruning=pruning)

@@ -1,14 +1,12 @@
 """Batch execution of many matrix-profile jobs through one executor.
 
-The range algorithms (``stomp-range``, SKIMP), VALMOD's exact
-recomputations, the blocked AB-join and the session's multi-request
-batches all share the same shape of work: *many independent profile
-computations over the same or different series*.  :func:`compute_profiles`
-gives that shape a first-class API:
+The range algorithms (``stomp-range``, SKIMP), the blocked AB-join and
+the session's multi-request batches all share the same shape of work:
+*many independent profile computations over the same or different
+series*.  :func:`compute_profiles` gives that shape a first-class API:
 
 * a :class:`ProfileJob` names one unit of work — a series and a
-  ``window``, optionally narrowed to one query offset (a distance
-  profile) or widened to an AB-join against a second series;
+  ``window``, optionally widened to an AB-join against a second series;
 * jobs are mapped through one :class:`~repro.engine.executor.Executor`
   with ``executor.map`` — in-process for the serial executor, one job per
   process-pool task for the parallel one;
@@ -51,7 +49,6 @@ from repro.engine.partition import DEFAULT_RESEED_INTERVAL, partitioned_stomp
 from repro.engine.shm import SharedArraysHandle, SharedSeriesBuffer, attach_arrays
 from repro.exceptions import InvalidParameterError
 from repro.matrix_profile.ab_join import JoinProfile, join_sweep_rows
-from repro.matrix_profile.distance_profile import distance_profile
 from repro.matrix_profile.profile import MatrixProfile
 from repro.series.dataseries import DataSeries
 from repro.series.validation import validate_series
@@ -82,24 +79,14 @@ class ProfileJob:
     bookkeeping and defaults to the series name when the series is a
     :class:`~repro.series.DataSeries`.
 
-    ``query_offset`` narrows the job from a full matrix profile to the
-    *distance profile* of one query offset — a single MASS call.  VALMOD's
-    per-length exact recomputations are exactly this shape: many
-    independent single-offset profiles at one length, which the batch
-    layer can fan out across workers.  The outcome's result is then a
-    plain ``numpy`` distance array (exclusion zone applied when
-    ``exclusion_radius`` is set) instead of a
-    :class:`~repro.matrix_profile.profile.MatrixProfile`.
-
-    ``series_b`` (incompatible with ``query_offset``) turns the job into
-    an **AB-join**: the nearest neighbour in ``series_b`` of each query
-    subsequence of ``series``.  ``row_range=(start, stop)`` optionally
-    restricts the join to that block of query rows —
-    :func:`repro.matrix_profile.ab_join.ab_join`'s ``engine=`` path plans
-    one such job per A-row block, which is how cross-series joins scale
-    across cores like self-joins do.  The outcome's result is a
-    :class:`~repro.matrix_profile.ab_join.JoinProfile` covering the
-    requested rows.
+    ``series_b`` turns the job into an **AB-join**: the nearest neighbour
+    in ``series_b`` of each query subsequence of ``series``.
+    ``row_range=(start, stop)`` optionally restricts the join to that
+    block of query rows — :func:`repro.matrix_profile.ab_join.ab_join`'s
+    ``engine=`` path plans one such job per A-row block, which is how
+    cross-series joins scale across cores like self-joins do.  The
+    outcome's result is a :class:`~repro.matrix_profile.ab_join.JoinProfile`
+    covering the requested rows.
 
     ``eq=False``: the generated field-tuple ``__eq__`` would compare the
     series array element-wise (ambiguous truth value) and make jobs
@@ -108,7 +95,6 @@ class ProfileJob:
 
     series: object
     window: int | None = None
-    query_offset: int | None = None
     exclusion_radius: int | None = None
     block_size: int | None = None
     kernel: str | None = None
@@ -120,12 +106,6 @@ class ProfileJob:
     def __post_init__(self) -> None:
         if self.window is None:
             raise InvalidParameterError("a ProfileJob needs a window=")
-        if self.query_offset is not None:
-            object.__setattr__(self, "query_offset", int(self.query_offset))
-        if self.series_b is not None and self.query_offset is not None:
-            raise InvalidParameterError(
-                "series_b= (an AB-join job) is incompatible with query_offset="
-            )
         if self.row_range is not None:
             if self.series_b is None:
                 raise InvalidParameterError(
@@ -142,15 +122,14 @@ class ProfileJob:
 class JobOutcome:
     """Result slot of one job, in the order the jobs were submitted.
 
-    ``result`` is a :class:`MatrixProfile` for plain jobs, a distance
-    array for ``query_offset=`` jobs, and a
+    ``result`` is a :class:`MatrixProfile` for plain jobs and a
     :class:`~repro.matrix_profile.ab_join.JoinProfile` for ``series_b=``
     (AB-join) jobs.
     """
 
     index: int
     job: ProfileJob
-    result: Union[MatrixProfile, np.ndarray, JoinProfile, None] = None
+    result: Union[MatrixProfile, JoinProfile, None] = None
     error: BaseException | None = None
 
     @property
@@ -158,7 +137,7 @@ class JobOutcome:
         """True when the job completed without raising."""
         return self.error is None
 
-    def unwrap(self) -> Union[MatrixProfile, np.ndarray, JoinProfile]:
+    def unwrap(self) -> Union[MatrixProfile, JoinProfile]:
         """The job's result, re-raising the job's exception if it failed."""
         if self.error is not None:
             raise self.error
@@ -249,19 +228,6 @@ def _run_job(
                     stats_b=stats_b,
                     kernel=job.kernel,
                     reseed_interval=job.reseed_interval,
-                )
-            elif job.query_offset is not None:
-                # Single-offset job: one distance profile (a MASS call), not
-                # a full matrix profile.  No stats.forget(): many such jobs
-                # share one window, so the cached per-window statistics are
-                # the point.
-                result = distance_profile(
-                    values,
-                    job.query_offset,
-                    job.window,
-                    stats=stats,
-                    exclusion_radius=job.exclusion_radius,
-                    apply_exclusion=job.exclusion_radius is not None,
                 )
             else:
                 # Job-level parallelism (one process per job) is the batch
@@ -390,10 +356,7 @@ def compute_profiles(
         size = _series_length(job.series)
         if size is None:  # invalid series fail per-job later, not here
             continue
-        if job.query_offset is not None:
-            # One MASS call is O(n log n), i.e. ~log2(n) "profile rows".
-            task_units += max(1, int(size).bit_length())
-        elif job.row_range is not None:
+        if job.row_range is not None:
             # Join block: one recurrence row per query offset of the block.
             task_units += max(1, job.row_range[1] - job.row_range[0])
         else:

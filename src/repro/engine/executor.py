@@ -46,6 +46,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
+from multiprocessing import resource_tracker
 from typing import Callable, List, Sequence
 
 from repro import obs
@@ -186,6 +187,10 @@ class ParallelExecutor(Executor):
             return None
         if self._pool is None:
             try:
+                # Start the shared-memory resource tracker before the
+                # workers fork, so they inherit it; a worker that starts its
+                # own tracker warns at exit about segments the parent unlinked.
+                resource_tracker.ensure_running()
                 self._pool = ProcessPoolExecutor(max_workers=self.n_jobs)
                 _POOL_SPAWNS.inc()
             except (OSError, PermissionError, ValueError) as error:

@@ -32,9 +32,10 @@ immediately, so the data it returns is decoupled from the segment's fate
 (on Linux an unlinked segment persists until the last mapping closes, so a
 mid-copy unlink is safe too).
 Resource-tracker bookkeeping stays with the creator: pool workers talk to
-the same tracker process, where the attach-side registration is idempotent
-and ``unlink()`` performs the single matching unregister (see the note in
-:func:`attach_arrays`).
+the same tracker process (:class:`~repro.engine.executor.ParallelExecutor`
+starts it before the pool forks), where the attach-side registration is
+idempotent and ``unlink()`` performs the single matching unregister (see
+the note in :func:`attach_arrays`).
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ follows the actual control flow — through nested calls, through ``asyncio``
 tasks, and (explicitly) across process and HTTP boundaries:
 
 * **process pools** — a dispatcher stamps :func:`current_payload` onto the
-  task (the engine carries it in ``ProfileJob.trace`` / the block-task
-  payload); the worker wraps execution in :func:`remote_task`, which
-  buffers the spans it opens *and* captures the worker registry's metric
-  delta, and ships both back with the result for the parent to
-  :func:`absorb`;
+  task (the engine does this for every task in
+  :meth:`~repro.engine.executor.ParallelExecutor.map`); the worker wraps
+  execution in :func:`remote_task`, which buffers the spans it opens
+  *and* captures the worker registry's metric delta, and ships both back
+  with the result for the parent to :func:`absorb`;
 * **HTTP** — a traced :class:`~repro.service.client.ServiceClient` sends
   the context as the ``X-Repro-Trace: <trace_id>/<span_id>`` header
   (:func:`format_trace_header`); the server adopts it around the request

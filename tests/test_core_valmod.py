@@ -10,6 +10,7 @@ from repro.baselines.brute_force_range import brute_force_range
 from repro.baselines.stomp_range import stomp_range
 from repro.core.valmod import valmod, valmod_with_config
 from repro.core.config import ValmodConfig
+from repro.engine import ParallelExecutor
 from repro.exceptions import InvalidParameterError, LengthRangeError
 from repro.generators import generate_planted_motifs
 from repro.matrix_profile.kernels import available_kernels
@@ -201,7 +202,9 @@ class TestGroundTruthRecovery:
 
 
 class TestEngineBatchedRecomputations:
-    """engine= batches the per-length exact recomputations; results are exact."""
+    """engine= runs the base pass on the engine; the exact recomputations
+    run in-process on one rule, so results and Figure 2 counts match the
+    engine-free run."""
 
     @pytest.mark.parametrize("engine", ["serial", "parallel"])
     def test_engine_routed_valmod_matches_serial_oracle(
@@ -218,20 +221,63 @@ class TestEngineBatchedRecomputations:
                 [d for _, d in observed], [d for _, d in expected], atol=1e-8
             )
 
-    def test_batched_recomputation_is_a_superset_of_serial(self, small_ecg_series):
-        """The batch may recompute more profiles, never report different pairs."""
-        oracle = valmod(small_ecg_series, 24, 40, top_k=3, profile_capacity=4)
-        routed = valmod(
-            small_ecg_series, 24, 40, top_k=3, profile_capacity=4, engine="serial"
-        )
-        assert (
-            routed.extra["total_recomputed_profiles"]
-            >= oracle.extra["total_recomputed_profiles"]
-        )
-        for length in oracle.lengths:
-            expected = [p.distance for p in oracle.motifs_at(length)]
-            observed = [p.distance for p in routed.motifs_at(length)]
-            np.testing.assert_allclose(observed, expected, atol=1e-8)
+    def test_figure2_counts_match_on_every_executor(self):
+        values = np.cumsum(np.random.default_rng(0).normal(size=400))
+        kwargs = {"top_k": 3, "profile_capacity": 2}
+        oracle = valmod(values, 16, 32, **kwargs)
+        with ParallelExecutor(n_jobs=2) as pool:
+            routed = [
+                valmod(values, 16, 32, engine=engine, **kwargs)
+                for engine in ("serial", pool)
+            ]
+        counts = ("num_profiles", "num_valid", "num_non_valid", "num_recomputed")
+        for result in routed:
+            for length in oracle.lengths:
+                expected = oracle.length_results[length]
+                observed = result.length_results[length]
+                assert [p.offsets for p in observed.motifs] == [
+                    p.offsets for p in expected.motifs
+                ]
+                np.testing.assert_allclose(
+                    [p.distance for p in observed.motifs],
+                    [p.distance for p in expected.motifs],
+                    atol=1e-8,
+                )
+                for name in counts:
+                    assert getattr(observed.pruning, name) == getattr(
+                        expected.pruning, name
+                    ), (length, name)
+                # Engine blocks seed their rows differently, which moves the
+                # bound by ~1e-13.
+                assert observed.pruning.min_lb_abs == pytest.approx(
+                    expected.pruning.min_lb_abs, abs=1e-8
+                )
+            assert result.pruning_summary() == oracle.pruning_summary()
+
+
+class TestPruningTelemetry:
+    """Pruning power reaches the registry as one gauge, however many
+    distinct lengths the process has run; per-length figures stay on the
+    result."""
+
+    def test_no_metric_name_per_length(self, small_random_series):
+        was_enabled = obs.metrics_enabled()
+        obs.set_metrics_enabled(True)
+        try:
+            valmod(small_random_series, 16, 20)
+            result = valmod(small_random_series, 30, 34)
+        finally:
+            obs.set_metrics_enabled(was_enabled)
+        snapshot = obs.snapshot()
+        names = [
+            name
+            for section in ("counters", "gauges", "histograms")
+            for name in snapshot[section]
+        ]
+        assert not [name for name in names if "pruning_power.len" in name]
+        stats = [entry.pruning for entry in result.length_results.values()]
+        overall = sum(s.num_valid for s in stats) / sum(s.num_profiles for s in stats)
+        assert snapshot["gauges"]["valmod.pruning_power.overall"] == pytest.approx(overall)
 
 
 class TestPhaseSpans:

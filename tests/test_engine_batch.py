@@ -81,8 +81,6 @@ def test_job_validation():
     with pytest.raises(InvalidParameterError):
         ProfileJob(series)  # no window
     with pytest.raises(InvalidParameterError):
-        ProfileJob(series, window=8, series_b=series, query_offset=3)  # join + offset
-    with pytest.raises(InvalidParameterError):
         ProfileJob(series, window=8, row_range=(0, 4))  # row block without a join
     with pytest.raises(InvalidParameterError):
         compute_profiles([object()])  # not a ProfileJob
@@ -123,54 +121,3 @@ def test_outcome_is_frozen(walk):
     assert isinstance(outcome, JobOutcome)
     with pytest.raises(AttributeError):
         outcome.result = None
-
-
-def test_query_offset_jobs_match_distance_profile(walk):
-    """Single-offset jobs are MASS calls, mixable with full-profile jobs."""
-    from repro.matrix_profile.distance_profile import distance_profile
-
-    jobs = [
-        ProfileJob(walk, window=24, query_offset=10, exclusion_radius=6),
-        ProfileJob(walk, window=32),
-        ProfileJob(walk, window=24, query_offset=77, exclusion_radius=6),
-    ]
-    outcomes = compute_profiles(jobs, executor="serial")
-    assert all(outcome.ok for outcome in outcomes)
-    np.testing.assert_allclose(
-        outcomes[0].unwrap(),
-        distance_profile(walk, 10, 24, exclusion_radius=6),
-        atol=1e-12,
-    )
-    _assert_profile_equal(stomp(walk, 32), outcomes[1].unwrap())
-    np.testing.assert_allclose(
-        outcomes[2].unwrap(),
-        distance_profile(walk, 77, 24, exclusion_radius=6),
-        atol=1e-12,
-    )
-
-
-def test_query_offset_jobs_parallel_match_serial(walk):
-    jobs = [
-        ProfileJob(walk, window=20, query_offset=offset, exclusion_radius=5)
-        for offset in (0, 13, 200, 350)
-    ]
-    serial = compute_profiles(jobs, executor="serial")
-    with ParallelExecutor(n_jobs=2) as executor:
-        parallel = compute_profiles(jobs, executor=executor)
-    for left, right in zip(serial, parallel):
-        np.testing.assert_allclose(left.unwrap(), right.unwrap(), atol=1e-12)
-
-
-def test_query_offset_requires_window(walk):
-    with pytest.raises(InvalidParameterError):
-        ProfileJob(walk, query_offset=3)
-
-
-def test_query_offset_without_exclusion_returns_raw_profile(walk):
-    outcome = compute_profiles(
-        [ProfileJob(walk, window=24, query_offset=40)], executor="serial"
-    )[0]
-    profile = outcome.unwrap()
-    # No exclusion: the self-match is present (and ~0; sqrt() amplifies
-    # eps-level correlation noise, hence the loose absolute tolerance).
-    assert profile[40] == pytest.approx(0.0, abs=1e-4)

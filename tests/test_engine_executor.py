@@ -10,14 +10,19 @@ a process boundary.  Pinned here:
   counters still grow by exactly the rows and blocks the workers swept
   (the per-layer benchmark figures read these counters);
 * a worker killed mid-task fails that call with ``BrokenProcessPool``, and
-  the next calls on the same executor run on a fresh pool.
+  the next calls on the same executor run on a fresh pool;
+* pool workers share the parent's shared-memory resource tracker, even
+  when they fork before the parent has created any segment.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from repro.matrix_profile.stomp import stomp
 
 WINDOW = 32
 BLOCK = 128
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +159,38 @@ class TestDeadWorker:
             profile = partitioned_stomp(values, WINDOW, executor=executor, block_size=BLOCK)
             np.testing.assert_array_equal(profile.indices, reference.indices)
         assert _grew(before, _counters(), "engine.executor.pool_respawns") == 1
+
+
+#: Runs in a fresh interpreter, so no resource tracker exists before the
+#: prewarmed pool forks.  A worker with a tracker of its own warns at exit
+#: about segments the parent already unlinked.
+_TRACKER_SCRIPT = """
+import numpy as np
+import repro
+from repro.engine import ParallelExecutor
+
+values = np.cumsum(np.random.default_rng(0).standard_normal(3000))
+reference = repro.stomp(values, 64)
+with ParallelExecutor(2) as executor:
+    if not executor.uses_processes:
+        raise SystemExit("no-pool")
+    executor.prewarm()
+    for _ in range(3):
+        profile = repro.stomp(values, 64, engine=executor)
+        assert np.array_equal(profile.indices, reference.indices)
+"""
+
+
+def test_prewarmed_pool_workers_share_the_parents_resource_tracker():
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACKER_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    if "no-pool" in run.stderr:
+        pytest.skip("no process pool on this platform")
+    assert run.returncode == 0, run.stderr
+    assert "resource_tracker" not in run.stderr, run.stderr
