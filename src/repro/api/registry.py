@@ -16,8 +16,9 @@ from it instead of recomputing per call.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.exceptions import InvalidParameterError
 
@@ -59,6 +60,10 @@ class AlgorithmSpec:
     aliases:
         Alternative keys accepted by :func:`resolve_algorithm` (legacy CLI
         spellings like ``"stomp-range"``).
+    options:
+        Keyword options the runner forwards to its algorithm, beyond the
+        runner's own named parameters; ``None`` accepts whatever its
+        ``**options`` catches.
     """
 
     kind: str
@@ -69,6 +74,37 @@ class AlgorithmSpec:
     exact: bool = True
     anytime: bool = False
     aliases: Tuple[str, ...] = field(default_factory=tuple)
+    options: Tuple[str, ...] | None = None
+
+    def check_params(self, params: Mapping[str, Any]) -> None:
+        """Reject request parameters the runner cannot take.
+
+        Raises :class:`~repro.exceptions.InvalidParameterError` naming a
+        missing required parameter or an unknown one before the runner
+        runs, so a request that does not fit the algorithm never surfaces
+        as a ``TypeError`` from inside it.
+        """
+        signature = inspect.signature(self.runner)
+        try:
+            signature.bind(None, **params)  # None stands in for the session
+        except TypeError as error:
+            raise InvalidParameterError(
+                f"{self.kind} algorithm {self.key!r}: {error}"
+            ) from None
+        if self.options is None:
+            return
+        accepted = {
+            parameter.name
+            for parameter in list(signature.parameters.values())[1:]
+            if parameter.kind
+            in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+        } | set(self.options)
+        unknown = sorted(set(params) - accepted)
+        if unknown:
+            raise InvalidParameterError(
+                f"{self.kind} algorithm {self.key!r} takes no parameter "
+                f"{', '.join(map(repr, unknown))}; it takes {sorted(accepted)}"
+            )
 
 
 _REGISTRY: Dict[Tuple[str, str], AlgorithmSpec] = {}
@@ -352,6 +388,7 @@ register(
         key="stomp",
         runner=_mp_stomp,
         description="exact O(n^2) matrix profile via the STOMP recurrence",
+        options=("exclusion_radius",),
         engine_aware=True,
     ),
     default=True,
@@ -362,6 +399,7 @@ register(
         key="scrimp",
         runner=_mp_scrimp,
         description="exact-at-completion anytime profile via diagonal traversal",
+        options=("fraction", "exclusion_radius", "random_state", "state", "kernel"),
         anytime=True,
     )
 )
@@ -371,6 +409,7 @@ register(
         key="scrimp++",
         runner=_mp_scrimp_pp,
         description="PreSCRIMP seeding plus a (possibly partial) SCRIMP sweep",
+        options=("fraction", "step", "exclusion_radius", "random_state", "kernel"),
         anytime=True,
         aliases=("scrimp_pp", "scrimppp"),
     )
@@ -381,6 +420,7 @@ register(
         key="stamp",
         runner=_mp_stamp,
         description="anytime profile via one MASS call per subsequence",
+        options=("exclusion_radius", "order", "max_profiles", "random_state"),
         anytime=True,
     )
 )
@@ -390,6 +430,7 @@ register(
         key="brute",
         runner=_mp_brute,
         description="O(n^2 m) definition-level oracle",
+        options=("exclusion_radius",),
         aliases=("brute-force", "brute_force"),
     )
 )
@@ -400,6 +441,15 @@ register(
         key="valmod",
         runner=_motifs_valmod,
         description="exact variable-length motifs with lower-bound pruning (the paper)",
+        options=(
+            "top_k",
+            "profile_capacity",
+            "exclusion_factor",
+            "lower_bound_kind",
+            "length_step",
+            "track_checkpoints",
+            "update_both_members",
+        ),
         engine_aware=True,
     ),
     default=True,
@@ -410,6 +460,14 @@ register(
         key="stomp_range",
         runner=_motifs_stomp_range,
         description="one full STOMP profile per length of the range",
+        options=(
+            "top_k",
+            "length_step",
+            "exclusion_factor",
+            "engine",
+            "n_jobs",
+            "kernel",
+        ),
         engine_aware=True,
         aliases=("stomp-range",),
     )
@@ -420,6 +478,7 @@ register(
         key="moen",
         runner=_motifs_moen,
         description="exact best pair per length with MOEN-style length bounds",
+        options=("top_k", "exclusion_factor", "lower_bound_kind"),
     )
 )
 register(
@@ -428,6 +487,7 @@ register(
         key="quick_motif",
         runner=_motifs_quick_motif,
         description="segment-tree pruned fixed-length motif search per length",
+        options=("top_k", "length_step", "segments", "group_size", "exclusion_factor"),
         aliases=("quickmotif", "quick-motif"),
     )
 )
@@ -437,6 +497,7 @@ register(
         key="brute",
         runner=_motifs_brute,
         description="definition-level range oracle",
+        options=("top_k", "length_step", "exclusion_factor"),
         aliases=("brute-force", "brute_force"),
     )
 )
@@ -447,6 +508,7 @@ register(
         key="exact",
         runner=_discords_exact,
         description="variable-length discords from per-length STOMP profiles",
+        options=("k", "length_step", "exclusion_factor"),
     ),
     default=True,
 )
@@ -456,6 +518,14 @@ register(
         key="skimp",
         runner=_pan_profile_skimp,
         description="SKIMP pan matrix profile in breadth-first length order",
+        options=(
+            "num_lengths",
+            "lengths",
+            "exclusion_factor",
+            "engine",
+            "n_jobs",
+            "kernel",
+        ),
         engine_aware=True,
     ),
     default=True,
@@ -466,6 +536,7 @@ register(
         key="mass",
         runner=_ab_join_mass,
         description="one-sided AB-join via the kernelized cross-series STOMP recurrence",
+        options=("kernel", "reseed_interval", "engine", "n_jobs", "block_size"),
         engine_aware=True,
     ),
     default=True,
@@ -476,6 +547,7 @@ register(
         key="mpdist",
         runner=_mpdist_default,
         description="k-th smallest of the combined (kernelized) AB-join profiles",
+        options=("percentile", "kernel", "reseed_interval", "engine", "n_jobs"),
         engine_aware=True,
     ),
     default=True,

@@ -521,6 +521,7 @@ class Analysis:
             hit = self._probe_caches(key)
             if hit is not None:
                 return hit
+        spec.check_params(request.params)
         self._misses += 1
         _CACHE_MISSES.inc()
         _SESSION_RUNS.inc()

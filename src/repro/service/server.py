@@ -28,16 +28,16 @@ the job ships a ~100-byte :class:`~repro.engine.shm.BlobHandle` and the
 worker memory-maps the content-addressed blob file directly (zero-copy,
 verified once per process).
 
-Request pipelining
-------------------
-A kept-alive connection is served by a **reader loop + writer task** pair:
-the reader keeps parsing and dispatching requests while earlier ones are
-still computing, and the writer emits the responses strictly in request
-order (HTTP/1.1 pipelining semantics).  A client may thus stuff several
-``/analyze`` submissions down one socket and have them compute
-concurrently — previously the connection was serial even though the
-workers were not.  A bounded in-flight budget per connection keeps one
-socket from monopolising the queue.
+One request at a time per connection
+------------------------------------
+A kept-alive connection is served one request at a time: its handler
+reads a request, awaits the answer, writes it, and only then reads the
+next.  Concurrency comes from more connections — one
+:class:`~repro.service.ServiceClient` per thread.  A client that
+pipelines requests down one socket still gets every answer, in request
+order and cleanly framed: the later requests wait in the socket until
+their turn (HTTP/1.1 lets a server process pipelined requests one by
+one).
 
 Sessions and caching
 --------------------
@@ -90,20 +90,23 @@ The ``/analyze`` response wraps the envelope:
 ``{"result": <AnalysisResult.as_dict()>, "cache": "...", "id": ...,
 "series_digest": "..."}``.  Errors come back as JSON objects with an
 ``error`` field: ``400`` for malformed documents, ``404`` for unknown
-digests, ``422`` for requests the library rejects, ``503`` when the queue
-is full.
+digests, ``422`` for requests the library rejects (unknown parameters
+included), ``503`` when the queue is full or the service is stopping.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import queue
+import signal
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 from urllib.parse import parse_qsl, unquote
 
 import numpy as np
@@ -151,10 +154,6 @@ _UPLOAD_CHUNK_BYTES = 256 * 1024
 #: and operational spot checks; unbounded growth would contradict the
 #: layer's whole bounded-memory story).
 _COMPLETION_HISTORY = 4096
-#: Most requests one connection may have in flight (parsed but not yet
-#: answered).  The budget keeps a single pipelining client from buffering
-#: unbounded responses or monopolising the request queue.
-_MAX_PIPELINE_DEPTH = 64
 
 #: Latency histogram bucket upper bounds: 100µs to 100s, four buckets per
 #: decade.  Since PR 10 the canonical copy lives in the obs registry
@@ -415,6 +414,51 @@ class _SessionPool:
         ]
 
 
+class _DaemonThreadExecutor:
+    """A fixed set of daemon threads running the service's blocking work.
+
+    Interpreter exit joins every ``ThreadPoolExecutor`` thread, so a
+    computation that ``stop()`` abandoned would hold ``repro serve`` open
+    until it finished.  Daemon threads are not joined: the process exits,
+    and the abandoned computation with it.  ``loop.run_in_executor`` needs
+    only :meth:`submit`.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self._work: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._workers = workers
+        for index in range(workers):
+            threading.Thread(
+                target=self._run, name=f"repro-service_{index}", daemon=True
+            ).start()
+
+    def submit(self, fn, /, *args) -> Future:
+        future: Future = Future()
+        self._work.put((future, fn, args))
+        return future
+
+    def close(self) -> None:
+        """Stop each thread once the work queued before this call is done;
+        waits for nothing."""
+        for _ in range(self._workers):
+            self._work.put(None)
+
+    def _run(self) -> None:
+        while True:
+            item = self._work.get()
+            if item is None:
+                return
+            future, fn, args = item
+            if not future.set_running_or_notify_cancel():
+                continue  # the awaiting coroutine was cancelled first
+            try:
+                result = fn(*args)
+            except BaseException as error:  # raised again where it is awaited
+                future.set_exception(error)
+            else:
+                future.set_result(result)
+
+
 class _CloseAfterResponse(Exception):
     """A request error whose response must be followed by a socket close.
 
@@ -563,18 +607,17 @@ class AnalysisService:
         #: Jobs dequeued but not yet resolved — stop() must fail these too,
         #: or their connection handlers hang on futures nobody settles.
         self._inflight: "Dict[int, _Job]" = {}
-        #: Future-backed responses parsed but not yet written to their
-        #: sockets.  ``stop()`` fails every unresolved job future, then
-        #: waits (bounded) on this event so the 503s actually reach the
-        #: clients before the caller tears the loop down.
-        self._pending_futures = 0
-        self._futures_flushed = asyncio.Event()
-        self._futures_flushed.set()
-        #: Open connections: writer -> its handler task.  ``stop()`` closes
-        #: the ones still open so every handler exits through its clean-EOF
-        #: path; a handler left for ``asyncio.run`` to cancel makes the
-        #: streams callback log a ``CancelledError`` traceback.
+        #: Open connections: writer -> its handler task, and the subset
+        #: waiting for their next request.  ``stop()`` closes the waiting
+        #: ones and lets the busy ones answer, so every handler exits
+        #: through its own path; a handler left for ``asyncio.run`` to
+        #: cancel makes the streams callback log a ``CancelledError``
+        #: traceback.
         self._open_connections: "Dict[asyncio.StreamWriter, asyncio.Task]" = {}
+        self._waiting_connections: "set[asyncio.StreamWriter]" = set()
+        #: Set first thing in ``stop()``: every answer from then on closes
+        #: its connection, and no new job is queued.
+        self._stopping = False
         self._metrics = _ServiceMetrics()
         #: Retained /metrics snapshots keyed by their opaque window token —
         #: a scraper passing ``?since=<token>`` gets the delta against the
@@ -622,12 +665,7 @@ class AnalysisService:
         """
         if self._server is not None:
             raise ServiceError("the service is already running")
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._config.workers,
-            thread_name_prefix="repro-service",
-        )
+        self._executor = _DaemonThreadExecutor(self._config.workers)
         try:
             if self._config.worker_kind == "process":
                 candidate = ParallelExecutor(self._config.workers)
@@ -670,7 +708,7 @@ class AnalysisService:
     def _shutdown_executors(self) -> None:
         """Release both executors without waiting on in-flight work."""
         if self._executor is not None:
-            self._executor.shutdown(wait=False)
+            self._executor.close()
             self._executor = None
         if self._compute is not None:
             self._compute.close(wait=False, cancel_futures=True)
@@ -678,13 +716,18 @@ class AnalysisService:
 
     async def stop(self) -> None:
         """Stop listening, cancel the workers, fail queued **and in-flight**
-        jobs, close the open connections, release the executors.  Every
+        jobs, drain the open connections, release the executors.  Every
         unresolved job future gets a ``503`` so its connection handler — and
         client — is released instead of hanging on a future nobody will ever
         settle (cancelling a worker task abandons its ``run_in_executor``
-        await without resolving the job it was driving).  Nothing here waits
-        on a session: a computation still running on an executor thread is
-        abandoned, not joined."""
+        await without resolving the job it was driving).  Connections
+        waiting for a request are closed; a busy one answers with
+        ``Connection: close`` and exits.  Nothing here waits on a session: a
+        computation still running on an executor thread is abandoned, not
+        joined."""
+        # Before the first await: an answer written from here on must
+        # already carry Connection: close.
+        self._stopping = True
         if self._server is not None:
             self._server.close()
         for worker in self._workers:
@@ -711,36 +754,25 @@ class AnalysisService:
                     ServiceError("the service is shutting down", status=503)
                 )
             self._queue.task_done()
-        # The 503s above only *settled* the futures; give the connection
-        # writers a bounded window to actually put them on the wire before
-        # the caller tears the event loop down under them.
-        try:
-            await asyncio.wait_for(self._futures_flushed.wait(), timeout=5.0)
-        except (asyncio.TimeoutError, TimeoutError):
-            pass
-        # Then end the connections still open (idle keep-alives included):
-        # closing a transport feeds its reader EOF, so each handler returns
-        # on its own.  Before Server.wait_closed(), which on Python 3.12+
-        # waits for every open connection.
-        handlers = list(self._open_connections.values())
-        for writer in list(self._open_connections):
+        # Closing a transport feeds its reader EOF, so a connection waiting
+        # for a request returns on its own; a busy one writes the 503 above
+        # and returns.  The wait is bounded, and whatever is still open
+        # after it (a body still arriving) is closed too — before
+        # Server.wait_closed(), which on Python 3.12+ waits for every open
+        # connection.
+        for writer in list(self._waiting_connections):
             writer.close()
+        handlers = list(self._open_connections.values())
         if handlers:
             await asyncio.wait(handlers, timeout=5.0)
+        for writer in list(self._open_connections):
+            writer.close()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         self._shutdown_executors()
         if self._index is not None:
             self._index.close()
-
-    async def serve_until(self, stop_event: asyncio.Event) -> None:
-        """Run until ``stop_event`` is set (the CLI's foreground loop)."""
-        await self.start()
-        try:
-            await stop_event.wait()
-        finally:
-            await self.stop()
 
     # ------------------------------------------------------------------ #
     # the worker pool
@@ -980,40 +1012,29 @@ class AnalysisService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # One reader loop + one writer task serve the whole connection.
-        # The reader keeps parsing and dispatching requests while earlier
-        # ones are still computing — an /analyze dispatch returns the job's
-        # *future*, not its payload — and the writer settles the outcomes
-        # strictly in request order (HTTP/1.1 pipelining: responses must
-        # match request order, frames must not interleave).  Keep-alive is
-        # what lets a ServiceClient reuse one socket for its digest
-        # negotiation; pipelining is what lets it overlap submissions.
+        # One request at a time: read a request, await its answer, write it,
+        # read the next.  Keep-alive is what lets a ServiceClient reuse one
+        # socket for its digest negotiation; requests a client pipelines
+        # down the socket wait in it and are answered one by one, in order
+        # (HTTP/1.1 allows exactly that).  Concurrency comes from more
+        # connections.
         self._connections += 1
         self._open_connections[writer] = asyncio.current_task()
-        responses: "asyncio.Queue" = asyncio.Queue()
-        budget = asyncio.Semaphore(_MAX_PIPELINE_DEPTH)
-        writer_task = asyncio.get_running_loop().create_task(
-            self._write_responses(writer, responses, budget)
-        )
         try:
             first = True
             while True:
-                # The budget bounds parsed-but-unanswered requests; the
-                # writer releases one permit per response written and its
-                # exit floods the semaphore so a parked reader wakes up.
-                await budget.acquire()
-                if writer_task.done():
-                    return  # the peer vanished or a response closed the link
-                head = await self._read_head(reader, idle_ok=not first)
+                self._waiting_connections.add(writer)
+                try:
+                    head = await self._read_head(reader, idle_ok=not first)
+                finally:
+                    self._waiting_connections.discard(writer)
                 if head is None:
                     return  # clean close or idle timeout between requests
                 first = False
                 method, target, content_length, keep_alive, trace_header = head
                 try:
-                    outcome: "Union[Tuple[int, dict], asyncio.Future]" = (
-                        await self._dispatch(
-                            method, target, content_length, reader, trace_header
-                        )
+                    status, payload = await self._dispatch(
+                        method, target, content_length, reader, trace_header
                     )
                 except (
                     asyncio.IncompleteReadError,
@@ -1022,26 +1043,18 @@ class AnalysisService:
                 ):
                     # The body never arrived; the stream position is gone,
                     # so answer and drop the connection.
-                    responses.put_nowait(
-                        ((400, {"error": "malformed HTTP request"}), False)
-                    )
-                    return
+                    status, payload = 400, {"error": "malformed HTTP request"}
+                    keep_alive = False
                 except _CloseAfterResponse as error:
                     # The body was (partly) unconsumed: answer, then close
                     # before the leftover bytes masquerade as a request.
-                    responses.put_nowait(((error.status, error.payload), False))
-                    return
+                    status, payload, keep_alive = error.status, error.payload, False
                 except ServiceError as error:
-                    outcome = (error.status or 500, {"error": str(error)})
-                except (SerializationError, InvalidParameterError) as error:
-                    outcome = (422, {"error": str(error)})
+                    status, payload = error.status or 500, {"error": str(error)}
                 except ReproError as error:
-                    outcome = (422, {"error": str(error)})
-                if isinstance(outcome, asyncio.Future):
-                    self._pending_futures += 1
-                    self._futures_flushed.clear()
-                responses.put_nowait((outcome, keep_alive))
-                if not keep_alive:
+                    status, payload = 422, {"error": str(error)}
+                keep_alive = keep_alive and not self._stopping
+                if not await self._respond(writer, status, payload, keep_alive):
                     return
         except (
             ServiceError,
@@ -1050,89 +1063,14 @@ class AnalysisService:
             TimeoutError,
             ValueError,
         ):
-            responses.put_nowait(((400, {"error": "malformed HTTP request"}), False))
+            await self._respond(writer, 400, {"error": "malformed HTTP request"}, False)
         finally:
-            responses.put_nowait(None)  # reader is done: drain, then stop
-            try:
-                await writer_task
-            except BaseException:
-                # The handler itself was cancelled (loop teardown): the
-                # writer must not be orphaned awaiting a response future.
-                writer_task.cancel()
-                raise
-            finally:
-                # Responses the writer never reached (it died, or the
-                # handler was cancelled) will never be flushed — account
-                # for them so stop() is not left waiting on this socket.
-                while True:
-                    try:
-                        entry = responses.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if entry is not None and isinstance(entry[0], asyncio.Future):
-                        self._future_flushed()
-                # close() schedules the transport teardown; awaiting
-                # wait_closed() here would race loop shutdown (handlers for
-                # dying connections get cancelled mid-await and spam the
-                # loop's exception handler) for no benefit.
-                writer.close()
-                self._open_connections.pop(writer, None)
-
-    def _future_flushed(self) -> None:
-        """One future-backed response left the building (or died trying)."""
-        self._pending_futures -= 1
-        if self._pending_futures <= 0:
-            self._pending_futures = 0
-            self._futures_flushed.set()
-
-    async def _write_responses(
-        self,
-        writer: asyncio.StreamWriter,
-        responses: "asyncio.Queue",
-        budget: asyncio.Semaphore,
-    ) -> None:
-        """The per-connection writer: settle outcomes, respond in order."""
-        try:
-            while True:
-                entry = await responses.get()
-                if entry is None:
-                    return
-                outcome, keep_alive = entry
-                try:
-                    status, payload = await self._settle(outcome)
-                    alive = await self._respond(writer, status, payload, keep_alive)
-                finally:
-                    if isinstance(outcome, asyncio.Future):
-                        self._future_flushed()
-                budget.release()
-                if not alive:
-                    return
-        finally:
-            # Unpark a reader blocked on the budget no matter how this task
-            # ends; it observes writer_task.done() and stops.
-            for _ in range(_MAX_PIPELINE_DEPTH):
-                budget.release()
-
-    async def _settle(
-        self, outcome: "Union[Tuple[int, dict], asyncio.Future]"
-    ) -> Tuple[int, dict]:
-        """Await a pending job future into its ``(status, payload)`` pair.
-
-        The error mapping mirrors the dispatch-time one in the reader loop
-        — a job failing *after* acceptance must answer exactly like one
-        failing before it.
-        """
-        if isinstance(outcome, tuple):
-            return outcome
-        try:
-            payload = await outcome
-        except ServiceError as error:
-            return error.status or 500, {"error": str(error)}
-        except (SerializationError, InvalidParameterError) as error:
-            return 422, {"error": str(error)}
-        except ReproError as error:
-            return 422, {"error": str(error)}
-        return 200, payload
+            # close() schedules the transport teardown; awaiting
+            # wait_closed() here would race loop shutdown (handlers for
+            # dying connections get cancelled mid-await and spam the
+            # loop's exception handler) for no benefit.
+            writer.close()
+            self._open_connections.pop(writer, None)
 
     async def _dispatch(
         self,
@@ -1141,12 +1079,8 @@ class AnalysisService:
         content_length: int,
         reader: asyncio.StreamReader,
         trace_header: str | None = None,
-    ) -> "Union[Tuple[int, dict], asyncio.Future]":
+    ) -> Tuple[int, dict]:
         """Route one request, deciding how its body is consumed.
-
-        Returns a ready ``(status, payload)`` pair — or, for an accepted
-        ``/analyze`` submission, the job's future so the connection's
-        reader can pipeline the next request while this one computes.
 
         ``PUT /series/<digest>`` streams the body straight into the store's
         chunked ingest (the series never exists in server memory as one
@@ -1279,7 +1213,7 @@ class AnalysisService:
         body: bytes,
         query: str = "",
         trace_header: "str | None" = None,
-    ) -> "Union[Tuple[int, dict], asyncio.Future]":
+    ) -> Tuple[int, dict]:
         if method == "GET" and path.startswith("/series/"):
             return self._handle_series_get(path)
         if method == "GET" and path == "/health":
@@ -1540,7 +1474,7 @@ class AnalysisService:
 
     async def _handle_analyze(
         self, body: bytes, trace_header: "str | None" = None
-    ) -> "Union[Tuple[int, dict], asyncio.Future]":
+    ) -> Tuple[int, dict]:
         received_at = time.monotonic()
         self._received += 1
         _REQUESTS_RECEIVED.inc()
@@ -1589,6 +1523,10 @@ class AnalysisService:
         if series_name is None and raw_digest is not None and self._store is not None:
             entry = await self._offload(self._store.entry, raw_digest)
             series_name = None if entry is None else entry["name"]
+        if self._stopping:
+            # stop() has already failed the queue; a job queued now would
+            # never be answered.
+            raise ServiceError("the service is shutting down", status=503)
         self._sequence += 1
         job = _Job(
             sequence=self._sequence,
@@ -1614,9 +1552,8 @@ class AnalysisService:
                 "error": f"request queue is full ({self._config.backlog} pending)",
                 "id": job.request_id,
             }
-        # The future, not the payload: the connection's writer awaits it in
-        # response order while the reader pipelines the next request.
-        return job.future
+        # A failed job raises here; the connection handler maps the error.
+        return 200, await job.future
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -1642,15 +1579,26 @@ class AnalysisService:
 
 
 def serve_forever(config: ServiceConfig | None = None) -> None:
-    """Run a service in the foreground until interrupted (the CLI path)."""
+    """Run a service in the foreground until SIGINT or SIGTERM (the CLI path).
+
+    Either signal runs :meth:`AnalysisService.stop` — queued and in-flight
+    jobs answer ``503`` with ``Connection: close``, idle connections are
+    closed — and then returns, so ``repro serve`` exits with status 0.  A
+    computation still running on a service thread is abandoned, not waited
+    for; one running on a process pool is still joined at interpreter exit.
+    """
 
     async def _run() -> None:
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         service = AnalysisService(config)
         await service.start()
         host = config.host if config else "127.0.0.1"
         print(f"repro analysis service listening on http://{host}:{service.port}")
         try:
-            await asyncio.Event().wait()  # until cancelled by KeyboardInterrupt
+            await stop.wait()
         finally:
             await service.stop()
 

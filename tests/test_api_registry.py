@@ -1,6 +1,9 @@
-"""Registry dispatch: every algorithm reachable, errors list valid keys."""
+"""Registry dispatch: every algorithm reachable, errors list valid keys,
+request parameters checked against the runner before it runs."""
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -9,8 +12,11 @@ from repro.api.registry import (
     AlgorithmSpec,
     algorithm_keys,
     capabilities,
+    iter_specs,
+    register,
     registered_kinds,
     resolve_algorithm,
+    unregister,
 )
 from repro.api.requests import AnalysisRequest
 from repro.api.session import analyze
@@ -18,12 +24,17 @@ from repro.baselines.brute_force_range import brute_force_range
 from repro.baselines.moen import moen
 from repro.baselines.quick_motif import quick_motif_range
 from repro.baselines.stomp_range import stomp_range
+from repro.core.discords import variable_length_discords
+from repro.core.skimp import skimp
 from repro.core.valmod import valmod
 from repro.exceptions import InvalidParameterError
+from repro.matrix_profile.ab_join import ab_join
 from repro.matrix_profile.brute_force import brute_force_matrix_profile
+from repro.matrix_profile.mpdist import mpdist
 from repro.matrix_profile.scrimp import scrimp, scrimp_pp
 from repro.matrix_profile.stamp import stamp
 from repro.matrix_profile.stomp import stomp
+from repro.service import BackgroundService, ServiceClient, ServiceConfig
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +46,13 @@ def series():
 @pytest.fixture()
 def session(series):
     return analyze(series)
+
+
+@pytest.fixture(scope="module")
+def client():
+    with BackgroundService(ServiceConfig(port=0, workers=1)) as background:
+        with ServiceClient(port=background.port, timeout=120) as client:
+            yield client
 
 
 class TestResolution:
@@ -115,6 +133,100 @@ class TestResolution:
             row for row in table if row["kind"] == "matrix_profile" and row["key"] == "stomp"
         )
         assert stomp_row["engine_aware"] and stomp_row["default"]
+
+
+#: The smallest valid parameters of each kind (``other`` is a plain list
+#: so the same documents also travel as service JSON).
+VALID_PARAMS = {
+    "matrix_profile": {"window": 16},
+    "motifs": {"min_length": 16, "max_length": 18},
+    "discords": {"min_length": 16, "max_length": 18},
+    "pan_profile": {"min_length": 16, "max_length": 18},
+    "ab_join": {"other": np.sin(np.arange(120) / 5.0).tolist(), "window": 16},
+    "mpdist": {"other": np.sin(np.arange(120) / 5.0).tolist(), "window": 16},
+}
+
+#: The library function each built-in runner forwards its options to.
+TARGETS = {
+    ("matrix_profile", "stomp"): stomp,
+    ("matrix_profile", "scrimp"): scrimp,
+    ("matrix_profile", "scrimp++"): scrimp_pp,
+    ("matrix_profile", "stamp"): stamp,
+    ("matrix_profile", "brute"): brute_force_matrix_profile,
+    ("motifs", "valmod"): valmod,
+    ("motifs", "stomp_range"): stomp_range,
+    ("motifs", "moen"): moen,
+    ("motifs", "quick_motif"): quick_motif_range,
+    ("motifs", "brute"): brute_force_range,
+    ("discords", "exact"): variable_length_discords,
+    ("pan_profile", "skimp"): skimp,
+    ("ab_join", "mass"): ab_join,
+    ("mpdist", "mpdist"): mpdist,
+}
+
+BUILTIN_SLOTS = [(spec.kind, spec.key) for spec in iter_specs()]
+
+
+class TestParameterValidation:
+    """A request parameter that does not fit the algorithm is an
+    InvalidParameterError raised before the runner runs, which the service
+    answers 422 like every other request the library rejects."""
+
+    def _rejected(self, series, session, client, request, name):
+        with pytest.raises(InvalidParameterError, match=f"'{name}'"):
+            session.run(request)
+        assert session.cache_info()["misses"] == 0
+        status, payload = client.analyze_raw(series, request)
+        assert status == 422, payload
+        assert f"'{name}'" in payload["error"]
+
+    @pytest.mark.parametrize("kind, key", BUILTIN_SLOTS)
+    def test_unknown_parameter_is_rejected(self, series, session, client, kind, key):
+        request = AnalysisRequest(
+            kind=kind, algo=key, params={**VALID_PARAMS[kind], "bogus": 1}
+        )
+        self._rejected(series, session, client, request, "bogus")
+
+    def test_motif_method_as_a_parameter_is_rejected(self, series, session, client):
+        request = AnalysisRequest(
+            kind="motifs", params={**VALID_PARAMS["motifs"], "method": "valmod"}
+        )
+        self._rejected(series, session, client, request, "method")
+
+    def test_missing_window_is_rejected(self, series, session, client):
+        request = AnalysisRequest(kind="matrix_profile", params={})
+        self._rejected(series, session, client, request, "window")
+
+    def test_type_error_inside_a_runner_stays_a_500(self, series, session, client):
+        def broken_runner(session, **params):
+            raise TypeError("a bug inside the algorithm")
+
+        register(
+            AlgorithmSpec(
+                kind="mpdist",
+                key="_test_type_error",
+                runner=broken_runner,
+                description="test-only runner with a bug",
+            )
+        )
+        try:
+            request = AnalysisRequest(kind="mpdist", algo="_test_type_error")
+            with pytest.raises(TypeError, match="a bug inside"):
+                session.run(request)
+            status, payload = client.analyze_raw(series, request)
+            assert status == 500
+            assert "a bug inside the algorithm" in payload["error"]
+        finally:
+            unregister("mpdist", "_test_type_error")
+
+    def test_declared_options_are_parameters_of_the_algorithm(self):
+        assert sorted(TARGETS) == sorted(BUILTIN_SLOTS)
+        for slot, target in TARGETS.items():
+            spec = resolve_algorithm(*slot)
+            accepted = set(inspect.signature(target).parameters)
+            if spec.key in ("moen", "quick_motif"):
+                accepted.add("top_k")  # the runner drops it
+            assert set(spec.options) <= accepted, slot
 
 
 class TestDispatchMatchesDirectCalls:

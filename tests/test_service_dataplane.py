@@ -1,9 +1,10 @@
-"""The service's multi-process data plane, pipelining, and /metrics.
+"""The service's multi-process data plane, connection handling, and /metrics.
 
 Covers the PR-8 surface: blob-backed zero-copy process workers, the
 in-flight-job shutdown fix, the partial-start unwind fix, keep-alive
-request pipelining (in-order responses over one socket), the latency
-histogram endpoint, and the flat-payload batch transport.
+connections (one request at a time, answered in order, even when a client
+pipelines them), the latency histogram endpoint, and the flat-payload
+batch transport.
 
 Single-core safe: correctness and ordering only — parallel *speedup* is
 the throughput benchmark's job (core-count gated there).
@@ -12,15 +13,20 @@ the throughput benchmark's job (core-count gated there).
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import logging
 import os
 import pickle
+import queue
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +47,9 @@ from repro.harness.tables import metrics_rows
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
 from repro.service.server import _LATENCY_BUCKET_BOUNDS, _METRIC_PHASES, AnalysisService
 from repro.store import SeriesStore
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +147,23 @@ class TestFlatPayloads:
 # --------------------------------------------------------------------- #
 # shutdown fixes
 # --------------------------------------------------------------------- #
+#: ``repro serve`` with default settings and a runner that parks its
+#: thread for good; it prints a line when the computation starts.
+_PARKED_SERVE_SCRIPT = """
+import sys, threading
+from repro.api.registry import AlgorithmSpec, register
+from repro.cli import main
+
+def parked(session, **params):
+    print("computing", flush=True)
+    threading.Event().wait()
+
+register(AlgorithmSpec(kind="mpdist", key="_test_parked", runner=parked,
+                       description="test-only runner that never returns"))
+sys.exit(main(["serve", "--port", "0"]))
+"""
+
+
 class TestLifecycleFixes:
     def test_stop_fails_inflight_job_with_503(self, values):
         """A job already *executing* (not just queued) must have its future
@@ -300,9 +326,62 @@ class TestLifecycleFixes:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"]
+    )
+    def test_serve_stops_cleanly_on_a_signal_with_a_job_in_flight(self, values, signum):
+        """SIGTERM and SIGINT both stop ``repro serve`` the same way with one
+        idle keep-alive connection and one computation in flight: the parked
+        request answers 503 with Connection: close and the process exits 0
+        without joining the abandoned computation or logging a traceback."""
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-c", _PARKED_SERVE_SCRIPT],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        lines: "queue.Queue[str]" = queue.Queue()
+        threading.Thread(
+            target=lambda: [lines.put(line) for line in process.stdout], daemon=True
+        ).start()
+        try:
+            port = int(lines.get(timeout=60).strip().rsplit(":", 1)[1])
+            idle = ServiceClient(port=port, timeout=30)
+            assert idle.health()["status"] == "ok"
+            parked = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            parked.request(
+                "POST",
+                "/analyze",
+                body=json.dumps(
+                    {
+                        "series": values.tolist(),
+                        "request": {"kind": "mpdist", "algo": "_test_parked"},
+                    }
+                ),
+                headers={"Content-Type": "application/json"},
+            )
+            assert lines.get(timeout=60).strip() == "computing"
+            process.send_signal(signum)
+            response = parked.getresponse()
+            assert response.status == 503
+            assert response.getheader("Connection") == "close"
+            assert "shutting down" in json.loads(response.read())["error"]
+            assert process.wait(timeout=10) == 0
+            stderr = process.stderr.read()
+            assert "Traceback" not in stderr, stderr
+            idle.close()
+            parked.close()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            process.stderr.close()
+
 
 # --------------------------------------------------------------------- #
-# pipelining
+# one request at a time per connection
 # --------------------------------------------------------------------- #
 def _http_post(path: str, document: dict) -> bytes:
     body = json.dumps(document).encode("utf-8")
@@ -327,17 +406,18 @@ def _read_response(stream) -> tuple[int, dict]:
 
 
 class TestPipelining:
-    def test_pipelined_responses_arrive_in_request_order(self, values):
-        """Two requests stuffed down one socket: the second (fast) one
-        completes while the first is parked, yet the responses come back in
-        request order with clean framing."""
+    def test_one_request_at_a_time_per_connection(self, values):
+        """Four requests written down one socket are read one at a time:
+        while the first computes, the rest wait in the socket (so they
+        cannot fill a small queue), and the answers come back in request
+        order with clean framing."""
         release = threading.Event()
         entered = threading.Event()
 
         def parked_runner(session, **params):
             entered.set()
             release.wait(timeout=60)
-            return 1.0
+            return float(params["tag"])
 
         register(
             AlgorithmSpec(
@@ -349,59 +429,99 @@ class TestPipelining:
         )
         try:
             with BackgroundService(
-                ServiceConfig(port=0, workers=2, backlog=8)
+                ServiceConfig(port=0, workers=1, backlog=2)
             ) as background:
-                series = values.tolist()
-                slow = _http_post(
-                    "/analyze",
-                    {
-                        "id": "slow",
-                        "series": series,
-                        "request": {"kind": "mpdist", "algo": "_test_pipeline"},
-                    },
-                )
-                fast = _http_post(
-                    "/analyze",
-                    {
-                        "id": "fast",
-                        # A *different* series: same-digest jobs share one
-                        # session (and its lock), which would serialise the
-                        # fast job behind the parked one.
-                        "series": series[:256],
-                        "request": {
-                            "kind": "matrix_profile",
-                            "params": {"window": 32},
+                burst = b"".join(
+                    _http_post(
+                        "/analyze",
+                        {
+                            "id": str(tag),
+                            "series": values.tolist(),
+                            "request": {
+                                "kind": "mpdist",
+                                "algo": "_test_pipeline",
+                                "params": {"tag": tag},
+                            },
                         },
-                    },
+                    )
+                    for tag in (1, 2, 3, 4)
                 )
                 poll = ServiceClient(port=background.port, timeout=30)
                 with socket.create_connection(
                     ("127.0.0.1", background.port), timeout=120
                 ) as raw:
-                    raw.sendall(slow + fast)  # both on the wire at once
+                    raw.sendall(burst)  # all four on the wire at once
                     assert entered.wait(timeout=60)
-                    # The fast request completes while the slow one is
-                    # still parked — the reader kept draining the socket.
-                    deadline = time.monotonic() + 60
-                    while time.monotonic() < deadline:
-                        if poll.stats()["completed"] >= 1:
-                            break
-                        time.sleep(0.01)
-                    assert poll.stats()["completed"] >= 1
-                    assert not release.is_set()
+                    for _ in range(5):
+                        assert poll.stats()["received"] == 1
+                        time.sleep(0.05)
                     release.set()
                     stream = raw.makefile("rb")
-                    first = _read_response(stream)
-                    second = _read_response(stream)
-                assert first[0] == 200 and second[0] == 200
-                # Response order is request order, not completion order.
-                assert first[1]["id"] == "slow"
-                assert second[1]["id"] == "fast"
-                order = poll.stats()["completion_order"]
-                assert order == [2, 1]
+                    answers = [_read_response(stream) for _ in range(4)]
+                assert [status for status, _ in answers] == [200] * 4, answers
+                assert [payload["id"] for _, payload in answers] == ["1", "2", "3", "4"]
+                assert [
+                    payload["result"]["payload"] for _, payload in answers
+                ] == [1.0, 2.0, 3.0, 4.0]
+                stats = poll.stats()
+                assert stats["completion_order"] == [1, 2, 3, 4]
+                assert stats["rejected"] == 0
         finally:
             release.set()
             unregister("mpdist", "_test_pipeline")
+
+    def test_client_vanishing_mid_request(self, values):
+        """A client closing its socket while its request computes: the job
+        still completes, its handler leaves, and the next client is
+        answered."""
+        release = threading.Event()
+        entered = threading.Event()
+
+        def parked_runner(session, **params):
+            entered.set()
+            release.wait(timeout=60)
+            return 0.0
+
+        register(
+            AlgorithmSpec(
+                kind="mpdist",
+                key="_test_vanish",
+                runner=parked_runner,
+                description="test-only parked runner",
+            )
+        )
+        try:
+            with BackgroundService(ServiceConfig(port=0, workers=1)) as background:
+                service = background.service
+                raw = socket.create_connection(("127.0.0.1", background.port), timeout=60)
+                raw.sendall(
+                    _http_post(
+                        "/analyze",
+                        {
+                            "series": values.tolist(),
+                            "request": {"kind": "mpdist", "algo": "_test_vanish"},
+                        },
+                    )
+                )
+                assert entered.wait(timeout=60)
+                raw.close()
+                release.set()
+                poll = ServiceClient(port=background.port, timeout=60)
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline and poll.stats()["completed"] < 1:
+                    time.sleep(0.01)
+                assert poll.stats()["completed"] == 1
+                # Only the poller's own connection is left open.
+                while time.monotonic() < deadline and len(service._open_connections) > 1:
+                    time.sleep(0.01)
+                assert len(service._open_connections) == 1
+                result, _ = ServiceClient(port=background.port, timeout=60).analyze(
+                    values, AnalysisRequest(kind="matrix_profile", params={"window": 32})
+                )
+                assert result.value.distances.shape == (values.size - 32 + 1,)
+        finally:
+            release.set()
+            unregister("mpdist", "_test_vanish")
 
 
 # --------------------------------------------------------------------- #
