@@ -453,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     store_rm.add_argument("digest", help="series content digest (sha1 hex)")
 
     store_sub.add_parser(
-        "gc", help="reconcile blobs and manifest, enforce the byte cap"
+        "gc",
+        help="remove ingest debris, orphan name files and blobs that fail "
+        "verification, enforce the byte cap",
     )
 
     query = subparsers.add_parser(

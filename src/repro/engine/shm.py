@@ -138,7 +138,7 @@ def attach_blob(handle: BlobHandle, *, verify: bool = True) -> np.ndarray:
     store's self-verifying contract across the process boundary.
 
     A vanished or truncated blob raises :class:`StoreError` too: handles
-    are built from a live manifest entry immediately before dispatch, so a
+    are built from a blob found on disk immediately before dispatch, so a
     failure here means the blob really disappeared underneath the job (an
     LRU eviction racing the dispatch) and surfacing it beats computing on
     garbage.  On Linux an *unlinked* blob with a live mapping stays valid,

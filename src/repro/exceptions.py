@@ -85,10 +85,10 @@ class SerializationError(ReproError, RuntimeError):
 class StoreError(ReproError, RuntimeError):
     """A series-store operation failed in a way a caller must see.
 
-    Degradable conditions (corrupted blob, missing manifest) are handled
-    inside :class:`repro.store.SeriesStore` as misses; this error is for
-    contract violations — a digest mismatch on ingest, appending to a
-    finalised upload, an unusable store root.
+    Degradable conditions (a corrupted, truncated or vanished blob) are
+    handled inside :class:`repro.store.SeriesStore` as misses; this error
+    is for contract violations — a digest mismatch on ingest, appending to
+    a finalised upload, an unusable store root.
     """
 
 

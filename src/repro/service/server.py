@@ -1322,7 +1322,7 @@ class AnalysisService:
         """Run blocking store/pool work on the worker executor.
 
         Anything that may take the store lock across real work (blob
-        hashing, manifest writes) or hash a series must not run on the
+        hashing, the eviction pass) or hash a series must not run on the
         event loop — ``/health`` and the 503 answer keep flowing while it
         executes."""
         return await asyncio.get_running_loop().run_in_executor(
@@ -1345,7 +1345,7 @@ class AnalysisService:
 
     def _handle_series_get(self, path: str) -> Tuple[int, dict]:
         digest = self._series_path_digest(path)
-        # Metadata answers come from the manifest (or the pool), not from a
+        # Metadata answers come from the catalog (or the pool), not from a
         # full blob read — verification stays on the value-resolving paths.
         entry = None if self._store is None else self._store.entry(digest)
         if entry is not None:
@@ -1379,7 +1379,7 @@ class AnalysisService:
         except ServiceError as error:
             raise _CloseAfterResponse(400, {"error": str(error)}) from error
         query = target.partition("?")[2]
-        name = "series"
+        name = None  # an unnamed upload keeps whatever name the store holds
         for pair in query.split("&"):
             key, _, value = pair.partition("=")
             if key == "name" and value:
@@ -1410,7 +1410,7 @@ class AnalysisService:
                     await self._stream_body(reader, content_length, ingest.append_bytes)
                     try:
                         # finalize() hashes nothing extra but renames and
-                        # rewrites the manifest under the store lock — off
+                        # runs the eviction pass under the store lock — off
                         # the event loop with the rest of the store work.
                         await self._offload(ingest.finalize)
                     except StoreError as error:
@@ -1432,7 +1432,7 @@ class AnalysisService:
                 # digest-only requests resolve until LRU pressure evicts it.
                 # Off the event loop: the digest check hashes the series.
                 error = await self._offload(
-                    self._adopt_into_pool, b"".join(chunks), digest, name
+                    self._adopt_into_pool, b"".join(chunks), digest, name or "series"
                 )
                 if error is not None:
                     return error

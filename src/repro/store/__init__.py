@@ -1,10 +1,15 @@
-"""Content-addressed series storage (digest-keyed blobs + manifest).
+"""Content-addressed series storage (digest-keyed blobs, no second record).
 
-* :class:`SeriesStore` — the catalog: memory-mapped float64 blobs at
-  ``blobs/<digest[:2]>/<digest>.f64``, an atomically-rewritten JSON
-  manifest, byte-capped LRU eviction, and a chunked ingest path
+* :class:`SeriesStore` — the catalog, read straight off its blob
+  directory: memory-mapped float64 blobs at
+  ``blobs/<digest[:2]>/<digest>.f64`` with an optional ``<digest>.name``
+  display-name file beside each, byte-capped LRU eviction ordered by blob
+  mtime (every ``put`` and verified ``get`` stamps it), ``gc`` removing
+  crash debris and blobs that fail verification, and a chunked ingest path
   (:meth:`SeriesStore.begin`) for series that must never exist as one
-  JSON array;
+  JSON array.  Processes sharing a root see each other's blobs at once,
+  and each object's byte cap counts them all; an older store's
+  ``manifest.json`` is ignored;
 * :func:`open_data_root` — the shared digest namespace: one root holding
   the series catalog (``<root>/series``) and the persistent result cache
   (``<root>/results``) side by side.

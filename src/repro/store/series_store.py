@@ -7,47 +7,52 @@ sessions by it, the engine's shared-memory segments are reused under it.
 What was missing is a place where the digest *resolves back to the values*:
 the service re-received the full value array on every request and every
 engine call re-packed the same series.  :class:`SeriesStore` is that place —
-a small content-addressed blob store:
+a content-addressed blob store whose blob directory is its whole catalog:
 
 * one **blob per digest** (``blobs/<digest[:2]>/<digest>.f64``, raw
   little-endian float64) written atomically (unique temp file +
   ``os.replace``), read back memory-mapped so a lookup does not copy the
-  series;
-* a **JSON manifest** (``manifest.json``) carrying per-entry length, byte
-  size, display name and an LRU sequence number, re-written atomically on
-  every mutation;
-* **byte-capped LRU eviction**: ``max_bytes`` bounds the blob bytes
-  retained; inserts evict from the cold end (the newest entry is always
-  retained, even when it alone exceeds the cap — evicting what was just
-  stored would make ``put`` + ``get`` incoherent);
+  series.  A digest is stored exactly when its blob exists, and the file
+  size gives its length and bytes;
+* the display name in a **name file** beside the blob (``<digest>.name``,
+  written the same atomic way, only when a caller gives a name); a blob
+  without one reads back as ``"series"``;
+* **byte-capped LRU eviction by mtime**: every ``put`` and every verified
+  ``get`` stamps the blob's mtime, and after a new blob lands the coldest
+  blobs go until ``max_bytes`` holds — never the blob just stored nor the
+  hottest, even when either alone exceeds the cap;
 * a **chunked ingest path** (:meth:`begin` / :class:`ChunkedIngest`) so a
   large series streams into the store — from a socket, a file, a generator
   — without ever existing as one JSON array, with the digest computed (and
   optionally verified) incrementally;
-* **degradation, not errors**: a corrupted blob, a digest-mismatched blob
-  or a mangled manifest reads back as a *miss* (and is healed best-effort),
-  never as wrong values — the same contract the persistent result cache
-  established.
+* **degradation, not errors**: a corrupted, truncated or digest-mismatched
+  blob reads back as a *miss* and is removed, so the slot heals on the next
+  ``put``.  :meth:`SeriesStore.gc` removes ingest temp files, name files
+  whose blob is gone and blobs that fail verification, then re-applies the
+  cap.
 
 The blob format makes verification free of any framing: the sha1 of the
 blob's bytes IS the series digest, so :meth:`get` can certify what it
 returns by hashing exactly the bytes it mapped.
 
-Concurrency: one store object is thread-safe (a single lock covers manifest
-mutations).  Across processes the store is best-effort coherent the same
-way the persistent result cache is: atomic renames mean readers only ever
-see complete files, and the manifest's last writer wins wholesale.
+Sharing a root: one store object is thread-safe, and any number of objects
+and processes may share a root.  Every mutation changes one file — an
+atomic rename, an unlink or a ``utime`` — so no writer loses another's
+entries: every object lists every blob on disk, counts it against its cap
+and orders it by the latest ``put`` or ``get`` from any of them.  An older
+store's ``manifest.json`` is ignored: its blobs are listed as they are, and
+names held only in that file read back as ``"series"``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 import threading
+import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -83,9 +88,11 @@ DEFAULT_STORE_MAX_BYTES = 256 * 1024 * 1024
 SERIES_SUBDIR = "series"
 RESULTS_SUBDIR = "results"
 
-_MANIFEST_KIND = "series_store_manifest"
-_MANIFEST_NAME = "manifest.json"
 _BLOB_SUFFIX = ".f64"
+_NAME_SUFFIX = ".name"
+_BLOB_NAME_LENGTH = 40 + len(_BLOB_SUFFIX)
+_TEMP_PREFIX = ".ingest."
+_TEMP_SUFFIX = ".tmp"
 _ITEM_SIZE = 8  # float64
 
 
@@ -106,6 +113,25 @@ def is_series_digest(text: str) -> bool:
 _is_digest = is_series_digest
 
 
+def _unlink(path) -> bool:
+    """Remove one file; returns whether it was there."""
+    try:
+        os.unlink(path)
+    except OSError:
+        return False
+    return True
+
+
+def _stamp(path) -> None:
+    """Move one blob to the hot end of the LRU order.
+
+    The clock is set explicitly: a write's own mtime can be as coarse as a
+    kernel tick, and back-to-back touches need distinct stamps.
+    """
+    now = time.time_ns()
+    os.utime(path, ns=(now, now))
+
+
 class ChunkedIngest:
     """One in-flight streaming upload into a :class:`SeriesStore`.
 
@@ -121,7 +147,7 @@ class ChunkedIngest:
     """
 
     def __init__(
-        self, store: "SeriesStore", name: str, expected_digest: str | None
+        self, store: "SeriesStore", name: str | None, expected_digest: str | None
     ) -> None:
         if expected_digest is not None and not _is_digest(expected_digest):
             raise StoreError(f"not a valid series digest: {expected_digest!r}")
@@ -131,7 +157,7 @@ class ChunkedIngest:
         self._sha1 = hashlib.sha1()
         self._bytes = 0
         self._handle = tempfile.NamedTemporaryFile(
-            mode="wb", dir=store.root, prefix=".ingest.", suffix=".tmp", delete=False
+            mode="wb", dir=store.root, prefix=_TEMP_PREFIX, suffix=_TEMP_SUFFIX, delete=False
         )
         self._temp_path = Path(self._handle.name)
         self._done = False
@@ -185,7 +211,7 @@ class ChunkedIngest:
                         f"not the announced {announced}"
                     )
             self._store._adopt_blob(  # noqa: SLF001 - ingest is the store's own half
-                self._temp_path, digest, self._bytes, self._name
+                self._temp_path, digest, self._name
             )
         except BaseException:
             self.abort()
@@ -199,10 +225,7 @@ class ChunkedIngest:
             self._handle.close()
         except OSError:  # pragma: no cover - double close on exotic platforms
             pass
-        try:
-            os.unlink(self._temp_path)
-        except OSError:
-            pass
+        _unlink(self._temp_path)
 
     def __enter__(self) -> "ChunkedIngest":
         return self
@@ -236,14 +259,12 @@ class SeriesStore:
         self._root = Path(root)
         self._max_bytes = None if max_bytes is None else int(max_bytes)
         self._lock = threading.RLock()
-        self._entries: Dict[str, dict] | None = None  # lazy manifest load
-        self._sequence = 0
         self._evictions = 0
         self._removal_callbacks: List = []
 
     def subscribe_removal(self, callback) -> None:
-        """Register ``callback(digest)``, fired whenever a blob leaves the
-        store (eviction, :meth:`rm`, corruption healing, :meth:`gc` drops).
+        """Register ``callback(digest)``, fired whenever this store object
+        removes a blob (eviction, :meth:`rm`, corruption healing).
 
         Subscribers keep derived state — e.g. a ``repro.index.MotifIndex``
         pruning catalog rows for evicted series — consistent with the store.
@@ -278,128 +299,130 @@ class SeriesStore:
         """The content address of one digest's blob."""
         return self._root / "blobs" / digest[:2] / f"{digest}{_BLOB_SUFFIX}"
 
-    @property
-    def manifest_path(self) -> Path:
-        """The manifest file."""
-        return self._root / _MANIFEST_NAME
+    def _name_path(self, digest: str) -> Path:
+        return self.blob_path(digest).with_suffix(_NAME_SUFFIX)
 
     # ------------------------------------------------------------------ #
-    # manifest handling
+    # the blob directory: every mutation renames, unlinks or stamps a file
     # ------------------------------------------------------------------ #
-    def _load_manifest(self) -> Dict[str, dict]:
-        """The manifest entries, loaded lazily; corruption degrades to empty.
+    def _scan(self) -> List[Tuple[int, str, int]]:
+        """``(mtime_ns, digest, bytes)`` of every blob on disk, unordered.
 
-        A mangled manifest never takes the store down: the blobs are still
-        on disk and :meth:`gc` re-adopts every one that verifies.
+        Files are told apart by name length and suffix only: a per-character
+        digest check would double the cost of the pass.
         """
-        if self._entries is None:
-            entries: Dict[str, dict] = {}
-            sequence = 0
-            try:
-                payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-                if (
-                    isinstance(payload, dict)
-                    and payload.get("kind") == _MANIFEST_KIND
-                    and isinstance(payload.get("entries"), dict)
-                ):
-                    for digest, entry in payload["entries"].items():
-                        if not _is_digest(digest) or not isinstance(entry, dict):
-                            continue
-                        entries[digest] = {
-                            "bytes": int(entry["bytes"]),
-                            "length": int(entry["length"]),
-                            "name": str(entry.get("name", "series")),
-                            "sequence": int(entry.get("sequence", 0)),
-                        }
-                    sequence = int(payload.get("sequence", 0))
-            except (OSError, ValueError, TypeError, KeyError):
-                entries = {}
-                sequence = 0
-            self._entries = entries
-            self._sequence = max(
-                [sequence] + [entry["sequence"] for entry in entries.values()]
-            )
-        return self._entries
-
-    def _write_manifest(self) -> None:
-        """Atomically persist the manifest (best-effort: an unwritable
-        manifest degrades the store to session-local, not to an error)."""
-        payload = {
-            "kind": _MANIFEST_KIND,
-            "version": 1,
-            "sequence": self._sequence,
-            "entries": self._entries or {},
-        }
-        temp_name = None
         try:
-            path = self.manifest_path
-            with tempfile.NamedTemporaryFile(
-                mode="w",
-                encoding="utf-8",
-                dir=path.parent,
-                prefix=f".{path.name}.",
-                suffix=".tmp",
-                delete=False,
-            ) as handle:
-                temp_name = handle.name
-                json.dump(payload, handle, indent=2)
-            os.replace(temp_name, path)
-            temp_name = None
+            with os.scandir(self._root / "blobs") as shards:
+                shard_paths = [shard.path for shard in shards if shard.is_dir()]
+        except FileNotFoundError:
+            return []
+        rows = []
+        for shard_path in shard_paths:
+            with os.scandir(shard_path) as files:
+                for entry in files:
+                    name = entry.name
+                    if len(name) != _BLOB_NAME_LENGTH or not name.endswith(_BLOB_SUFFIX):
+                        continue
+                    try:
+                        info = entry.stat()
+                    except FileNotFoundError:  # removed since the listing
+                        continue
+                    rows.append((info.st_mtime_ns, name[:40], info.st_size))
+        return rows
+
+    def _blob_size(self, digest: str) -> Optional[int]:
+        """Byte size of ``digest``'s blob, or ``None`` when none is stored."""
+        if not _is_digest(digest):
+            return None
+        try:
+            return os.stat(self.blob_path(digest)).st_size
         except OSError:
-            pass
-        finally:
-            if temp_name is not None:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
+            return None
 
-    def _touch(self, digest: str) -> None:
-        """Bump one entry to the hot end of the LRU order (lock held)."""
-        self._sequence += 1
-        self._entries[digest]["sequence"] = self._sequence  # type: ignore[index]
+    def _row(self, digest: str, size: int) -> dict:
+        try:
+            name = self._name_path(digest).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            name = "series"
+        return {"digest": digest, "length": size // _ITEM_SIZE, "bytes": size, "name": name}
 
-    def _evict_over_budget(self) -> None:
-        """Drop cold entries until the byte cap holds again (lock held)."""
+    def _write_name(self, digest: str, name: str) -> None:
+        """Atomically (re)write the display name beside the blob.  The temp
+        file carries the ingest prefix, so :meth:`gc` sweeps up a crash's."""
+        fd, temp = tempfile.mkstemp(dir=self._root, prefix=_TEMP_PREFIX, suffix=_TEMP_SUFFIX)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(str(name))
+            os.replace(temp, self._name_path(digest))
+        except BaseException:
+            _unlink(temp)
+            raise
+
+    def _drop(self, digest: str) -> bool:
+        """Remove one blob and its name file, telling the subscribers when
+        the blob was there (lock held); returns whether it was."""
+        removed = _unlink(self.blob_path(digest))
+        _unlink(self._name_path(digest))
+        if removed:
+            self._notify_removal(digest)
+        return removed
+
+    def _evict_over_budget(self, keep: str | None = None) -> None:
+        """Remove the coldest blobs until the byte cap holds (lock held);
+        ``keep`` (the blob just stored) and the hottest blob always stay."""
         if self._max_bytes is None:
             return
-        entries = self._entries or {}
-        total = sum(entry["bytes"] for entry in entries.values())
-        while total > self._max_bytes and len(entries) > 1:
-            coldest = min(entries, key=lambda digest: entries[digest]["sequence"])
-            total -= entries[coldest]["bytes"]
-            self._drop(coldest)
+        rows = sorted(self._scan())
+        total = sum(size for _, _, size in rows)
+        for _, digest, size in rows[:-1]:
+            if total <= self._max_bytes:
+                break
+            if digest == keep:
+                continue
+            total -= size
+            if self._drop(digest):
+                self._evictions += 1
+                _EVICTIONS.inc()
 
-    def _drop(self, digest: str) -> None:
-        """Remove one entry and its blob (lock held)."""
-        (self._entries or {}).pop(digest, None)
-        self._evictions += 1
-        _EVICTIONS.inc()
+    def _adopt_blob(self, temp_path: Path, digest: str, name: str | None) -> None:
+        """Move a fully-written temp blob into its content address, record
+        its name (when one is given) and stamp it hottest."""
+        target = self.blob_path(digest)
         try:
-            self.blob_path(digest).unlink()
-        except OSError:
-            pass
-        self._notify_removal(digest)
-
-    def _adopt_blob(self, temp_path: Path, digest: str, size: int, name: str) -> None:
-        """Move a fully-written temp blob into its content address."""
+            target.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(temp_path, target)
+            if name is not None:
+                self._write_name(digest, name)
+            _stamp(target)
+        except OSError as error:
+            raise StoreError(f"cannot store blob {digest}: {error}") from error
         with self._lock:
-            self._load_manifest()
-            target = self.blob_path(digest)
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(temp_path, target)
-            except OSError as error:
-                raise StoreError(f"cannot store blob {digest}: {error}") from error
-            self._sequence += 1
-            self._entries[digest] = {  # type: ignore[index]
-                "bytes": int(size),
-                "length": int(size // _ITEM_SIZE),
-                "name": str(name),
-                "sequence": self._sequence,
-            }
-            self._evict_over_budget()
-            self._write_manifest()
+            self._evict_over_budget(keep=digest)
+
+    def _verified(self, digest: str) -> Optional[np.ndarray]:
+        """``digest``'s blob memory-mapped and sha1-verified, or ``None``.
+
+        A blob that is present but unmappable (truncated to a ragged size,
+        emptied) or that hashes to another digest is corrupted: it is
+        removed, so the slot heals on the next ``put``.
+        """
+        path = self.blob_path(digest)
+        try:
+            mapped = np.memmap(path, dtype="<f8", mode="r")
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            mapped = None
+        if mapped is not None:
+            if hashlib.sha1(memoryview(mapped).cast("B")).hexdigest() == digest:
+                array = mapped.view(np.ndarray)
+                array.flags.writeable = False
+                return array
+            del mapped  # release the mapping before unlinking the file
+        _VERIFY_FAILURES.inc()
+        with self._lock:
+            self._drop(digest)
+        return None
 
     # ------------------------------------------------------------------ #
     # the public surface
@@ -409,7 +432,8 @@ class SeriesStore:
 
         Accepts a :class:`~repro.series.DataSeries` (whose name rides
         along), a numpy array or a plain list.  Storing an already-present
-        digest refreshes its LRU position without rewriting the blob.
+        digest refreshes its LRU position without rewriting the blob, and
+        keeps its stored name unless a new one is given.
         """
         if isinstance(series, DataSeries):
             values = series.values
@@ -425,22 +449,22 @@ class SeriesStore:
         data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
         digest = hashlib.sha1(data).hexdigest()
         _PUTS.inc()
-        with self._lock:
-            entries = self._load_manifest()
-            if digest in entries and self.blob_path(digest).is_file():
-                if name is not None:
-                    entries[digest]["name"] = str(name)
-                self._touch(digest)
-                self._write_manifest()
-                return digest
-        ingest = self.begin(name=name or "series")
-        ingest.append_bytes(data)
-        return ingest.finalize(expected_digest=digest)
+        try:
+            _stamp(self.blob_path(digest))
+            if name is not None:
+                self._write_name(digest, name)
+        except OSError:
+            # Absent or not updatable in place: (re)write it whole.
+            ingest = self.begin(name=name)
+            ingest.append_bytes(data)
+            return ingest.finalize(expected_digest=digest)
+        return digest
 
     def begin(
-        self, *, name: str = "series", expected_digest: str | None = None
+        self, *, name: str | None = None, expected_digest: str | None = None
     ) -> ChunkedIngest:
-        """Open a streaming upload (see :class:`ChunkedIngest`)."""
+        """Open a streaming upload (see :class:`ChunkedIngest`); without a
+        ``name`` it records none, so a stored digest keeps its name."""
         self.root  # ensure the directory exists before the temp file lands in it
         return ChunkedIngest(self, name, expected_digest)
 
@@ -449,95 +473,38 @@ class SeriesStore:
 
         The returned array is a **read-only memory map** of the blob: no
         copy is made, and the bytes were verified against the digest on
-        this very call (a corrupted or truncated blob is dropped and
-        reported as a miss, so the slot heals on the next ``put``).
+        this very call (a corrupted or truncated blob is removed and
+        reported as a miss).  A hit stamps the blob hottest.  No store lock
+        is taken: verifying a large blob must not stall concurrent lookups,
+        and an unlinked file keeps its mapping valid until released.
         """
-        if not _is_digest(digest):
+        array = self._verified(digest) if _is_digest(digest) else None
+        if array is None:
             _BLOB_MISSES.inc()
             return None
-        path = self.blob_path(digest)
-        # Mapping and hashing happen OUTSIDE the store lock: verifying a
-        # large blob takes real time and must not stall every concurrent
-        # catalog lookup (a concurrently-unlinked file keeps its mapping
-        # valid until released, so the hash itself is race-free).
-        try:
-            mapped = np.memmap(path, dtype="<f8", mode="r")
-        except (OSError, ValueError):
-            with self._lock:
-                if digest in self._load_manifest() or path.exists():
-                    # Present but unmappable (truncated, wrong size):
-                    # corrupted — heal the slot.  A plain absent file is the
-                    # ordinary miss and drops nothing.
-                    _VERIFY_FAILURES.inc()
-                    self._drop(digest)
-                    self._write_manifest()
-            _BLOB_MISSES.inc()
-            return None
-        if hashlib.sha1(memoryview(mapped).cast("B")).hexdigest() != digest:
-            del mapped  # release the mapping before unlinking the file
-            _VERIFY_FAILURES.inc()
-            _BLOB_MISSES.inc()
-            with self._lock:
-                self._load_manifest()
-                self._drop(digest)
-                self._write_manifest()
-            return None
-        array = mapped.view(np.ndarray)
-        array.flags.writeable = False
         _BLOB_READS.inc()
-        with self._lock:
-            entries = self._load_manifest()
-            if digest not in entries:
-                # A blob another process (or a pre-manifest crash) left
-                # behind: adopt it, it just proved its own integrity.  (Skip
-                # if the file vanished mid-verify — adopting would resurrect
-                # a concurrent removal.)
-                if not path.is_file():
-                    return None
-                self._sequence += 1
-                entries[digest] = {
-                    "bytes": int(array.size * _ITEM_SIZE),
-                    "length": int(array.size),
-                    "name": "series",
-                    "sequence": self._sequence,
-                }
-                self._write_manifest()
-            else:
-                # An LRU touch mutates only in-memory state: persisting the
-                # order on every read would put a disk write on the hot
-                # lookup path, and cross-process LRU order is best-effort
-                # anyway (the next mutation flushes it).
-                self._touch(digest)
-            return array
+        try:
+            _stamp(self.blob_path(digest))
+        except OSError:
+            pass  # removed since it was mapped: the verified values still stand
+        return array
 
     def load(self, digest: str, *, name: str | None = None) -> Optional[DataSeries]:
         """Like :meth:`get` but wrapped as a :class:`~repro.series.DataSeries`
-        (carrying the manifest's display name unless overridden)."""
+        (carrying the stored display name unless overridden)."""
         values = self.get(digest)
         if values is None:
             return None
         if name is None:
-            entry = (self._entries or {}).get(digest)
-            name = entry["name"] if entry else "series"
+            name = self._row(digest, values.size * _ITEM_SIZE)["name"]
         return DataSeries(values, name=name)
 
     def entry(self, digest: str) -> Optional[dict]:
-        """Manifest metadata of one digest (length, bytes, name) — or
-        ``None``.
-
-        A constant-time catalog lookup: no blob read, no verification, no
-        LRU touch.  The values themselves still certify on :meth:`get`.
-        """
-        with self._lock:
-            entry = self._load_manifest().get(digest)
-            if entry is None or not self.blob_path(digest).is_file():
-                return None
-            return {
-                "digest": digest,
-                "length": entry["length"],
-                "bytes": entry["bytes"],
-                "name": entry["name"],
-            }
+        """Catalog metadata of one digest (length, bytes, name) — or
+        ``None``.  One ``stat`` and the name file: no blob read, no
+        verification (the values certify on :meth:`get`), no LRU touch."""
+        size = self._blob_size(digest)
+        return None if size is None else self._row(digest, size)
 
     def handle(self, digest: str):
         """A picklable :class:`~repro.engine.shm.BlobHandle` for one stored
@@ -548,132 +515,81 @@ class SeriesStore:
         dispatcher ships this ~100-byte handle and the worker process maps
         ``blobs/<d[:2]>/<digest>.f64`` directly with
         :func:`repro.engine.shm.attach_blob`, which re-verifies the bytes
-        against the digest on first attach.  Constant-time: a manifest
-        lookup plus one ``stat``, no blob read.
+        against the digest on first attach.  Constant-time: one ``stat``,
+        no blob read.
         """
         from repro.engine.shm import BlobHandle
 
-        with self._lock:
-            entry = self._load_manifest().get(digest)
-            path = self.blob_path(digest)
-            if entry is None or not path.is_file():
-                return None
-            return BlobHandle(
-                path=str(path), digest=digest, length=int(entry["length"])
-            )
+        size = self._blob_size(digest)
+        if size is None:
+            return None
+        return BlobHandle(
+            path=str(self.blob_path(digest)), digest=digest, length=size // _ITEM_SIZE
+        )
 
     def __contains__(self, digest: str) -> bool:
-        """Manifest membership (no blob verification — that happens on read)."""
-        with self._lock:
-            return digest in self._load_manifest() and self.blob_path(digest).is_file()
+        """Whether a blob is stored (no verification — that happens on read)."""
+        return self._blob_size(digest) is not None
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._load_manifest())
+        return len(self._scan())
 
     @property
     def total_bytes(self) -> int:
-        """Blob bytes currently accounted for in the manifest."""
-        with self._lock:
-            return sum(entry["bytes"] for entry in self._load_manifest().values())
+        """Bytes of every blob on disk."""
+        return sum(size for _, _, size in self._scan())
 
     def ls(self) -> List[dict]:
         """Catalog rows (digest, length, bytes, name), hottest first."""
-        with self._lock:
-            entries = self._load_manifest()
-            rows = [
-                {
-                    "digest": digest,
-                    "length": entry["length"],
-                    "bytes": entry["bytes"],
-                    "name": entry["name"],
-                }
-                for digest, entry in sorted(
-                    entries.items(),
-                    key=lambda item: item[1]["sequence"],
-                    reverse=True,
-                )
-            ]
-        return rows
+        return [
+            self._row(digest, size)
+            for _, digest, size in sorted(self._scan(), reverse=True)
+        ]
 
     def rm(self, digest: str) -> bool:
         """Remove one series; returns whether it was present."""
+        if not _is_digest(digest):
+            return False
         with self._lock:
-            entries = self._load_manifest()
-            present = digest in entries or self.blob_path(digest).is_file()
-            entries.pop(digest, None)
-            try:
-                self.blob_path(digest).unlink()
-            except OSError:
-                pass
-            if present:
-                self._notify_removal(digest)
-            self._write_manifest()
-            return present
+            return self._drop(digest)
 
     def gc(self) -> dict:
-        """Reconcile disk and manifest; returns what was repaired.
+        """Sweep up what a crash or a corruption left; returns what went.
 
-        * blobs missing their manifest entry are **adopted** when their
-          bytes verify against their filename digest, removed otherwise;
-        * manifest entries whose blob vanished are dropped;
-        * leftover ingest temp files are removed;
-        * the byte cap is re-enforced.
+        Removes ingest temp files (``temp_files``; an upload still streaming
+        into this root fails to finalize), name files whose blob is gone
+        (``orphan_names``) and blobs that fail verification against their
+        filename digest (``corrupted``), then re-applies the byte cap.
         """
-        adopted = corrupted = dropped = temp_files = 0
+        corrupted = temp_files = orphan_names = 0
         with self._lock:
-            entries = self._load_manifest()
-            for stale in [d for d in entries if not self.blob_path(d).is_file()]:
-                entries.pop(stale)
-                dropped += 1
-                self._notify_removal(stale)
-            blob_root = self._root / "blobs"
-            if blob_root.is_dir():
-                for path in sorted(blob_root.glob(f"*/*{_BLOB_SUFFIX}")):
-                    digest = path.name[: -len(_BLOB_SUFFIX)]
-                    if not _is_digest(digest) or digest in entries:
-                        continue
-                    if self.get(digest) is not None:
-                        adopted += 1
-                    else:
-                        corrupted += 1
-                        # get() heals most corruption itself, but an
-                        # unmappable file size slips through its miss path;
-                        # gc's contract is that a failed adoption leaves no
-                        # debris behind.
-                        try:
-                            path.unlink()
-                        except OSError:
-                            pass
-                        self._notify_removal(digest)
-            for temp in self._root.glob(".ingest.*.tmp"):
-                try:
-                    temp.unlink()
-                    temp_files += 1
-                except OSError:
-                    pass
+            for temp in self._root.glob(f"{_TEMP_PREFIX}*{_TEMP_SUFFIX}"):
+                temp_files += _unlink(temp)
+            for name_file in self._root.glob(f"blobs/*/*{_NAME_SUFFIX}"):
+                if not name_file.with_suffix(_BLOB_SUFFIX).exists():
+                    orphan_names += _unlink(name_file)
+            for _, digest, _ in self._scan():
+                corrupted += self._verified(digest) is None
             self._evict_over_budget()
-            self._write_manifest()
+        rows = self._scan()
         return {
-            "adopted": adopted,
             "corrupted": corrupted,
-            "dropped": dropped,
             "temp_files": temp_files,
-            "entries": len(self),
-            "total_bytes": self.total_bytes,
+            "orphan_names": orphan_names,
+            "entries": len(rows),
+            "total_bytes": sum(size for _, _, size in rows),
         }
 
     def stats(self) -> dict:
         """Occupancy and bounds (for service /stats and the CLI)."""
-        with self._lock:
-            entries = self._load_manifest()
-            return {
-                "root": str(self._root),
-                "entries": len(entries),
-                "total_bytes": sum(entry["bytes"] for entry in entries.values()),
-                "max_bytes": self._max_bytes,
-                "evictions": self._evictions,
-            }
+        rows = self._scan()
+        return {
+            "root": str(self._root),
+            "entries": len(rows),
+            "total_bytes": sum(size for _, _, size in rows),
+            "max_bytes": self._max_bytes,
+            "evictions": self._evictions,
+        }
 
 
 def open_data_root(

@@ -190,6 +190,12 @@ class TestDigestOnlyRoundTrip:
             info = client.series_info(series.digest())
             assert info is not None and info["name"] == "my series & more"
 
+    def test_upload_without_a_name_keeps_the_stored_name(self, service, values):
+        with ServiceClient(port=service.port) as client:
+            digest = client.put_series(repro.DataSeries(values, name="ecg lead II"))
+            assert client.put_series(values) == digest
+            assert client.series_info(digest)["name"] == "ecg lead II"
+
     def test_values_transport_still_accepted(self, service, values):
         with ServiceClient(port=service.port) as client:
             status, payload = client.analyze_raw(

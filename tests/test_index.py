@@ -388,9 +388,9 @@ def test_store_removal_prunes_index_rows(tmp_path, small_random_series):
         # rm prunes exactly the removed series' rows
         assert store.rm(digest_a)
         assert {row["series_digest"] for row in index.query("")} == {digest_b}
-        # a vanished blob is pruned by gc's reconciliation
-        store.blob_path(digest_b).unlink()
-        store.gc()
+        # a corrupt blob found by get is healed, pruning its rows the same way
+        store.blob_path(digest_b).write_bytes(b"garbage!" * 8)
+        assert store.get(digest_b) is None
         assert index.count() == 0
         assert index.stats()["pruned_rows"] == 2
 

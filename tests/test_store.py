@@ -1,12 +1,13 @@
 """The content-addressed series store: identity, bounds, degradation.
 
-Covers the satellite checklist of the store subsystem: LRU eviction order
-and byte bounds, atomic-write crash simulation, digest-mismatch and
-corrupted-manifest degradation, and chunked-ingest equivalence with the
-one-shot put.
+Covers LRU eviction order and byte bounds, atomic-write crash simulation,
+digest-mismatch and corrupted-blob degradation, chunked-ingest equivalence
+with the one-shot put, and store objects and processes sharing one root.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -18,6 +19,18 @@ from repro.store import RESULTS_SUBDIR, SERIES_SUBDIR, SeriesStore, open_data_ro
 
 def _walk(n: int, seed: int = 0) -> np.ndarray:
     return np.cumsum(np.random.default_rng(seed).standard_normal(n))
+
+
+def _blob_bytes_on_disk(root) -> int:
+    return sum(path.stat().st_size for path in root.glob("blobs/*/*.f64"))
+
+
+def _put_named_batch(root: str, worker: int, barrier) -> None:
+    """Body of one spawned writer: 25 distinct named series into ``root``."""
+    barrier.wait(timeout=120)
+    store = SeriesStore(root)
+    for item in range(25):
+        store.put(_walk(16, seed=1000 * worker + item), name=f"w{worker}-{item}")
 
 
 @pytest.fixture()
@@ -174,15 +187,16 @@ class TestDegradation:
         blob.write_bytes(blob.read_bytes()[:-8])
         assert store.get(digest) is None
 
-    def test_corrupted_manifest_degrades_to_empty_and_gc_readopts(self, tmp_path):
+    def test_an_older_manifest_json_is_ignored(self, tmp_path):
+        """The blob directory is the catalog: a garbage ``manifest.json``
+        (as an older store may leave) changes nothing."""
         store = SeriesStore(tmp_path / "s")
         digests = {store.put(_walk(24, seed=s)) for s in range(3)}
         (tmp_path / "s" / "manifest.json").write_text("{not json at all")
         fresh = SeriesStore(tmp_path / "s")
-        assert len(fresh) == 0  # degraded, not crashed
-        report = fresh.gc()
-        assert report["adopted"] == 3
+        assert len(fresh) == 3
         assert {row["digest"] for row in fresh.ls()} == digests
+        assert all(fresh.get(digest) is not None for digest in digests)
 
     def test_crash_simulation_leaves_store_coherent(self, store):
         """A writer that dies mid-ingest leaves only a temp file: the
@@ -208,26 +222,85 @@ class TestDegradation:
         assert not list(store.root.glob(".ingest.*.tmp"))
         assert len(store) == 1
 
-    def test_gc_drops_entries_whose_blob_vanished(self, store):
-        digest = store.put(_walk(16))
+    def test_blob_deleted_behind_the_store_drops_out_at_once(self, store):
+        kept = store.put(_walk(16, seed=1))
+        digest = store.put(_walk(16, seed=2), name="doomed")
         store.blob_path(digest).unlink()
-        report = store.gc()
-        assert report["dropped"] == 1
-        assert len(store) == 0
+        assert len(store) == 1
+        assert digest not in store
+        assert store.entry(digest) is None
+        assert [row["digest"] for row in store.ls()] == [kept]
+        # Its name file is now an orphan, which gc removes.
+        assert store.gc()["orphan_names"] == 1
+        assert not list(store.root.glob("blobs/*/*.name"))
 
     def test_gc_removes_blobs_that_fail_verification(self, store):
         digest = store.put(_walk(16))
-        # Forge an unmanifested blob whose content does not match its name.
+        # Forge a blob whose content does not match its name.
         forged = store.blob_path("b" * 40)
         forged.parent.mkdir(parents=True, exist_ok=True)
         forged.write_bytes(b"\x00" * 16)
-        (store.root / "manifest.json").unlink()
         fresh = SeriesStore(store.root)
         report = fresh.gc()
-        assert report["adopted"] == 1
         assert report["corrupted"] == 1
         assert not forged.exists()
         assert fresh.get(digest) is not None
+
+
+class TestSharedRoot:
+    """Store objects and processes sharing one root see one catalog."""
+
+    def test_processes_sharing_a_root_lose_no_entries(self, tmp_path):
+        root = tmp_path / "s"
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4)
+        writers = [
+            context.Process(target=_put_named_batch, args=(str(root), worker, barrier))
+            for worker in range(4)
+        ]
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=180)
+            assert [writer.exitcode for writer in writers] == [0, 0, 0, 0]
+        finally:
+            for writer in writers:
+                if writer.is_alive():
+                    writer.kill()
+        fresh = SeriesStore(root)
+        rows = fresh.ls()
+        assert len(rows) == 100
+        assert {row["name"] for row in rows} == {
+            f"w{worker}-{item}" for worker in range(4) for item in range(25)
+        }
+        assert fresh.total_bytes == _blob_bytes_on_disk(root)
+
+    def test_byte_cap_counts_blobs_from_every_object(self, tmp_path):
+        # 25 floats = 200 bytes per series; a cap of 500 holds two.
+        first = SeriesStore(tmp_path / "s", max_bytes=500)
+        second = SeriesStore(tmp_path / "s", max_bytes=500)
+        for seed, store in zip((1, 2, 3), (first, second, first)):
+            store.put(_walk(25, seed=seed))
+        on_disk = _blob_bytes_on_disk(tmp_path / "s")
+        assert on_disk <= 500
+        assert first.total_bytes == second.total_bytes == on_disk
+
+    def test_ls_order_follows_every_object(self, tmp_path):
+        first = SeriesStore(tmp_path / "s")
+        second = SeriesStore(tmp_path / "s")
+        a = first.put(_walk(16, seed=1))
+        b = second.put(_walk(16, seed=2))
+        c = first.put(_walk(16, seed=3))
+
+        def orders():
+            return [[row["digest"] for row in store.ls()] for store in (first, second)]
+
+        assert orders() == [[c, b, a]] * 2
+        second.get(a)
+        assert orders() == [[a, c, b]] * 2
+        first.put(_walk(16, seed=2))
+        assert orders() == [[b, a, c]] * 2
 
 
 class TestDataRoot:
