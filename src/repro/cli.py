@@ -776,10 +776,10 @@ def _command_store(args: argparse.Namespace) -> int:
     kwargs = {} if args.max_bytes is None else {"max_bytes": args.max_bytes}
     store = SeriesStore(Path(args.data_dir) / SERIES_SUBDIR, **kwargs)
     index = None
-    if args.store_command in ("rm", "gc"):
-        # Removing a series must take its catalog rows with it — but only
-        # when a catalog already exists; plain store maintenance must not
-        # conjure an index directory.
+    if args.store_command in ("put", "rm", "gc"):
+        # Removing a series (a put's byte cap evicts too) must take its
+        # catalog rows with it — but only when a catalog already exists;
+        # plain store maintenance must not conjure an index directory.
         from repro.index import MotifIndex, catalog_path
 
         catalog = catalog_path(args.data_dir)

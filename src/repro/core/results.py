@@ -30,8 +30,10 @@ class PruningStats:
     num_non_valid:
         Profiles where the retained entries could not certify the minimum.
     num_recomputed:
-        Non-valid profiles whose full distance profile had to be recomputed
-        exactly (with MASS) to certify the top-k motifs.
+        Non-valid profiles whose exact minimum the top-k selection needed
+        (the paper's "profiles needed").  The rows a recompute sweep covers
+        beyond these are counted apart, in the run's
+        ``extra["total_rows_swept"]``.
     min_lb_abs:
         The paper's ``minLBAbs`` — smallest ``maxLB`` among non-valid profiles.
     """

@@ -13,8 +13,11 @@ The algorithm proceeds exactly as described in Section 2 of the paper:
 3. extract the top-k motif pairs of the length.  Whenever the smallest
    candidate value belongs to a non-valid profile (i.e. the candidate is only
    a lower bound — this is the paper's ``minLBAbs`` test failing), that
-   single profile is recomputed exactly with MASS and the selection resumes;
-   the output is therefore always exact;
+   profile's exact minimum is computed and the selection resumes; the output
+   is therefore always exact.  The minimum comes from a STOMP row sweep on
+   the base pass's kernel over the whole run of neighbouring non-valid rows
+   still open at this length (one seed, then a few microseconds per row),
+   and every swept row's minimum is kept for the rest of the length;
 4. update VALMAP with the top-k pairs of the length.
 
 The result object bundles the per-length motif pairs, the pruning statistics
@@ -34,13 +37,15 @@ from repro.core.config import ValmodConfig
 from repro.core.partial_profile import PartialProfileStore
 from repro.core.results import LengthResult, PruningStats, ValmodResult
 from repro.core.valmap import Valmap
-from repro.matrix_profile.distance_profile import distance_profile
+# Unused here since recomputes sweep rows; perfbench's ``core.recompute`` probe patches it.
+from repro.matrix_profile.distance_profile import distance_profile  # noqa: F401
 from repro.matrix_profile.exclusion import apply_exclusion_zone, default_exclusion_radius
-from repro.matrix_profile.kernels import resolve_kernel
+from repro.matrix_profile.kernels import PreparedSweep, resolve_kernel
 from repro.matrix_profile.profile import MotifPair
 from repro.matrix_profile.stomp import stomp
 from repro.series.dataseries import DataSeries
 from repro.series.validation import validate_length_range, validate_series
+from repro.stats.fft import sliding_dot_product
 from repro.stats.sliding import SlidingStats
 
 __all__ = ["valmod", "valmod_with_config", "publish_pruning_metrics"]
@@ -101,11 +106,12 @@ def valmod(
     Each block ingests into a partial-profile store fragment and the
     fragments merge into the exact serial store, so the base pass
     parallelises like any other profile computation.  The per-length exact
-    recomputations always run in-process, one MASS call at a time: each is
-    ~0.1 ms, far below what a pool dispatch costs.  ``kernel`` selects the
-    sweep kernel of the base pass (:mod:`repro.matrix_profile.kernels`); on
-    ``"native"`` the partial-profile store's ingest, advance and evaluation
-    run in C too.
+    recomputations always run in-process, as STOMP sweeps over runs of
+    neighbouring non-valid rows: a run costs one seed plus a few
+    microseconds per row, far below what a pool dispatch costs.  ``kernel``
+    selects the sweep kernel of the base pass and of those recompute runs
+    (:mod:`repro.matrix_profile.kernels`); on ``"native"`` the
+    partial-profile store's ingest, advance and evaluation run in C too.
 
     Returns
     -------
@@ -153,10 +159,14 @@ def valmod_with_config(
 
     While a trace is being collected the run records one
     ``valmod.base_pass`` span, one ``valmod.evaluate`` span per length and
-    one ``valmod.recompute`` span per length with recomputations (its
-    duration is the sum of that length's MASS calls, ``profiles`` their
-    count), each tagged with the kernel that ran — ``mass`` for the
-    recomputations.
+    one ``valmod.recompute`` span per length with recomputations, each
+    tagged with the kernel that ran.  A recompute span's duration is the
+    sum of that length's row sweeps (including its sweep context); it
+    carries ``profiles`` (the profiles the selection needed), ``rows`` (the
+    rows swept), ``runs`` (the sweeps, one seed each) and ``kernel``.  The
+    recompute sweeps record no ``kernel.sweep`` span and feed no
+    ``kernel.sweep_*`` metric.  ``extra["total_rows_swept"]`` on the result
+    sits beside ``extra["total_recomputed_profiles"]``.
     """
     series_name = series.name if isinstance(series, DataSeries) else "series"
     values = validate_series(series)
@@ -216,10 +226,12 @@ def valmod_with_config(
     )
 
     total_recomputed = 0
+    total_rows_swept = 0
     total_non_valid = 0
     for length in config.lengths[1:]:
-        result = _evaluate_length(values, stats, store, config, length)
+        result, rows_swept = _evaluate_length(stats, store, config, length, kernel)
         total_recomputed += result.pruning.num_recomputed
+        total_rows_swept += rows_swept
         total_non_valid += result.pruning.num_non_valid
         length_results[length] = result
         valmap.update_from_pairs(result.motifs, both_members=config.update_both_members)
@@ -248,38 +260,105 @@ def valmod_with_config(
         length_results=length_results,
         valmap=valmap,
         elapsed_seconds=elapsed,
-        extra={"total_recomputed_profiles": float(total_recomputed)},
+        extra={
+            "total_recomputed_profiles": float(total_recomputed),
+            "total_rows_swept": float(total_rows_swept),
+        },
     )
 
 
+class _RowRuns:
+    """Exact minima of one length's non-valid profiles, swept in row runs.
+
+    The sweep context (window statistics, the first-row products and the
+    kernel workspace) is built at the length's first recompute.  A row the
+    selection needs is answered from the memo when an earlier run swept it;
+    otherwise the longest run of *open* rows around it is swept with one
+    seed: rows that are neither exact nor swept yet and whose selection
+    value is still finite (an exclusion zone has not closed them).  Each
+    row is swept at most once per length, so the worst case is one STOMP
+    pass.  Nothing here touches the selection arrays: a swept row's result
+    waits in the memo until the selection asks for it.
+    """
+
+    def __init__(self, stats: SlidingStats, length: int, radius: int, kernel: str) -> None:
+        self._stats = stats
+        self._length = length
+        self._radius = radius
+        self._sweep = None
+        self.kernel = kernel
+        self.rows = 0
+        self.runs = 0
+        self.started_wall = 0.0
+        self.seconds = 0.0
+
+    def minimum(self, row: int, exact: np.ndarray, working: np.ndarray) -> "tuple[float, int]":
+        """``(distance, index)`` of the exact nearest neighbour of ``row``."""
+        if self._sweep is None or not self._swept[row]:
+            started = time.perf_counter()
+            if self._sweep is None:
+                self.started_wall = time.time()
+                self._prepare()
+            open_rows = ~(exact | self._swept) & np.isfinite(working)
+            closed_before = np.flatnonzero(~open_rows[:row])
+            closed_after = np.flatnonzero(~open_rows[row:])
+            lo = int(closed_before[-1]) + 1 if closed_before.size else 0
+            hi = row + int(closed_after[0]) if closed_after.size else open_rows.size
+            self._distances[lo:hi], self._indices[lo:hi] = self._sweep.rows(lo, hi)
+            self._swept[lo:hi] = True
+            self.rows += hi - lo
+            self.runs += 1
+            self.seconds += time.perf_counter() - started
+        return float(self._distances[row]), int(self._indices[row])
+
+    def _prepare(self) -> None:
+        stats, length = self._stats, self._length
+        centered = stats.centered_values
+        means, stds = stats.centered_mean_std(length)
+        self._sweep = PreparedSweep(
+            centered,
+            length,
+            self._radius,
+            means,
+            stds,
+            sliding_dot_product(centered[:length], centered),
+            kernel=self.kernel,
+            compensated=stats.conversion_compensated(length),
+        )
+        self.kernel = self._sweep.kernel
+        self._swept = np.zeros(means.size, dtype=bool)
+        self._distances = np.empty(means.size, dtype=np.float64)
+        self._indices = np.empty(means.size, dtype=np.int64)
+
+
 def _evaluate_length(
-    values: np.ndarray,
     stats: SlidingStats,
     store: PartialProfileStore,
     config: ValmodConfig,
     length: int,
-) -> LengthResult:
+    kernel: str,
+) -> "tuple[LengthResult, int]":
     """Top-k motif pairs of one length, recomputing profiles only when required.
 
     The paper's step 3: the smallest selection value is taken next; when it
     belongs to a non-valid profile (a lower bound, not a certified minimum)
-    that one profile is recomputed exactly with one MASS
-    :func:`distance_profile` call and the selection resumes.  Hence
-    ``num_recomputed`` counts exactly the profiles the selection needed
-    (Figure 2), whichever executor ran the base pass.
+    the selection needs that profile's exact minimum, which :class:`_RowRuns`
+    supplies from STOMP row sweeps on ``kernel``, and the selection resumes.
+    Only the selected profile's entries change, so the selection order and
+    ``num_recomputed`` (the profiles the selection needed, Figure 2) are
+    those of one exact distance profile per needed row, whichever executor
+    ran the base pass.  Returns the length's result and the rows swept.
     """
     with obs.span("valmod.evaluate", length=length, kernel=store.kernel):
         evaluation = store.evaluate(length)
     radius = default_exclusion_radius(length, config.exclusion_factor)
-    tracing = obs.tracing_active()
-    recompute_wall = 0.0
-    recompute_seconds = 0.0
 
     exact = np.array(evaluation.valid, dtype=bool)
     min_distances = np.array(evaluation.min_distances, dtype=np.float64)
     nearest = np.array(evaluation.min_indices, dtype=np.int64)
     # Selection values: exact minima where certified, lower bounds elsewhere.
     working = np.where(exact, min_distances, evaluation.max_lower_bounds)
+    runs = _RowRuns(stats, length, radius, kernel)
 
     pairs: List[MotifPair] = []
     recomputed = 0
@@ -288,22 +367,10 @@ def _evaluate_length(
         if not np.isfinite(working[candidate]):
             break
         if not exact[candidate]:
-            if tracing:
-                if not recomputed:
-                    recompute_wall = time.time()
-                started = time.perf_counter()
-            profile = distance_profile(
-                values, candidate, length, stats=stats, exclusion_radius=radius
+            # A fully excluded row sweeps to (inf, -1).
+            min_distances[candidate], nearest[candidate] = runs.minimum(
+                candidate, exact, working
             )
-            if tracing:
-                recompute_seconds += time.perf_counter() - started
-            best = int(np.argmin(profile))
-            if np.isfinite(profile[best]):
-                min_distances[candidate] = float(profile[best])
-                nearest[candidate] = best
-            else:
-                min_distances[candidate] = np.inf
-                nearest[candidate] = -1
             exact[candidate] = True
             working[candidate] = min_distances[candidate]
             recomputed += 1
@@ -322,14 +389,16 @@ def _evaluate_length(
         apply_exclusion_zone(working, candidate, radius)
         apply_exclusion_zone(working, int(nearest[candidate]), radius)
 
-    if tracing and recomputed:
+    if recomputed and obs.tracing_active():
         obs.record_span(
             "valmod.recompute",
-            recompute_wall,
-            recompute_seconds,
+            runs.started_wall,
+            runs.seconds,
             length=length,
             profiles=recomputed,
-            kernel="mass",
+            rows=runs.rows,
+            runs=runs.runs,
+            kernel=runs.kernel,
         )
     pruning = PruningStats(
         length=length,
@@ -339,4 +408,4 @@ def _evaluate_length(
         num_recomputed=recomputed,
         min_lb_abs=evaluation.min_lb_abs,
     )
-    return LengthResult(length=length, motifs=pairs, pruning=pruning)
+    return LengthResult(length=length, motifs=pairs, pruning=pruning), runs.rows

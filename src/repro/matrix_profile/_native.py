@@ -93,6 +93,14 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_double_arr,  # profile
         c_index_arr,  # indices
     ]
+    # The same entry with every array passed as a raw address, for callers
+    # that convert their fixed arrays once and sweep many short row runs.
+    lib.repro_stomp_segment_at = lib["repro_stomp_segment"]
+    lib.repro_stomp_segment_at.restype = None
+    lib.repro_stomp_segment_at.argtypes = [
+        ctypes.c_void_p if arg in (c_double_arr, c_index_arr) else arg
+        for arg in lib.repro_stomp_segment.argtypes
+    ]
     lib.repro_ab_join_segment.restype = None
     lib.repro_ab_join_segment.argtypes = [
         c_double_arr,  # values_a

@@ -9,7 +9,9 @@ Every STOMP-shaped computation in the library — the serial sweep in
 
 and reduces each row to one ``(profile, index)`` pair.  This module owns
 that inner loop.  :func:`run_sweep` drives a row range ``[start, stop)``
-through one of three interchangeable kernels:
+through one of three interchangeable kernels (on a
+:class:`PreparedSweep`, which callers that sweep many short row ranges of
+one window keep and reuse):
 
 ``"oracle"``
     The original per-row loop: one full distance row per query offset via
@@ -101,6 +103,7 @@ from repro.stats.fft import sliding_dot_product
 __all__ = [
     "DEFAULT_JOIN_RESEED_INTERVAL",
     "KERNEL_NAMES",
+    "PreparedSweep",
     "available_kernels",
     "resolve_kernel",
     "validate_kernel",
@@ -470,14 +473,38 @@ def _numpy_segment(
 _INGEST_BLOCK_BYTES = 2 << 20
 
 
-def _native_segment(ctx, lib, qt, seg_start, seg_stop, base, profile, indices, ingest, block):
+def _address(array: np.ndarray) -> int:
+    """Base address of a C-contiguous float64 array (an ndpointer's check)."""
+    if array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise TypeError("native sweep arrays must be C-contiguous float64")
+    return array.ctypes.data
+
+
+def _native_segment(
+    ctx, lib, qt, seg_start, seg_stop, base, profile, indices, ingest, block, addresses
+):
     """Dispatch one reseed segment to the compiled kernel.
 
-    With an ``ingest`` store the segment is swept block by block: the C
-    sweep copies each row's dot products into ``block`` and the store
+    Without ``ingest`` the call passes raw addresses: ``addresses`` holds
+    the leading arguments (the context's arrays and ``qt``), converted once
+    per :class:`PreparedSweep`, so a short run pays two conversions, not
+    eleven.  With an ``ingest`` store the segment is swept block by block:
+    the C sweep copies each row's dot products into ``block`` and the store
     retains the block through ``ingest_centered_profile`` (in C as well,
     see :mod:`repro.core.partial_profile`).
     """
+    flags = (ctx.radius, 1 if ctx.compensated else 0, 1 if ctx.has_const else 0)
+    if ingest is None:
+        skip = 8 * (seg_start - base)  # float64 and int64 entries alike
+        lib.repro_stomp_segment_at(
+            *addresses,
+            seg_start,
+            seg_stop,
+            *flags,
+            profile.ctypes.data + skip,
+            indices.ctypes.data + skip,
+        )
+        return
     sweep = (
         ctx.values,
         ctx.window,
@@ -489,17 +516,6 @@ def _native_segment(ctx, lib, qt, seg_start, seg_stop, base, profile, indices, i
         ctx.first_col,
         qt,
     )
-    flags = (ctx.radius, 1 if ctx.compensated else 0, 1 if ctx.has_const else 0)
-    if ingest is None:
-        lib.repro_stomp_segment(
-            *sweep,
-            seg_start,
-            seg_stop,
-            *flags,
-            profile[seg_start - base : seg_stop - base],
-            indices[seg_start - base : seg_stop - base],
-        )
-        return
     chunk_start = seg_start
     while chunk_start < seg_stop:
         chunk_stop = min(chunk_start + block.shape[0], seg_stop)
@@ -521,6 +537,137 @@ def _native_segment(ctx, lib, qt, seg_start, seg_stop, base, profile, indices, i
 # --------------------------------------------------------------------- #
 # the driver
 # --------------------------------------------------------------------- #
+class PreparedSweep:
+    """A self-join sweep context and its kernel workspace, reusable across
+    row ranges.
+
+    :func:`run_sweep` prepares one per call.  VALMOD's exact recomputes
+    prepare one per length and sweep many short row runs on it, so each
+    run pays only its seed and its rows.  Arguments are those of
+    :func:`run_sweep`; ``kernel`` is the concrete kernel that sweeps.
+    """
+
+    __slots__ = ("kernel", "_ctx", "_lib", "_qt", "_sel", "_workspace", "_addresses")
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        window: int,
+        radius: int,
+        means: np.ndarray,
+        stds: np.ndarray,
+        first_row_dots: np.ndarray,
+        *,
+        kernel: "str | None" = None,
+        compensated: "bool | None" = None,
+    ) -> None:
+        name = resolve_kernel(kernel)
+        if compensated is None:
+            compensated = compensation_needed(means, means, stds)
+        ctx = _SweepContext(values, window, radius, means, stds, first_row_dots, compensated)
+        lib = _native_lib() if name == "native" else None
+        if name == "native" and lib is None:  # pragma: no cover - racy unload guard
+            name = "numpy"
+        self.kernel = name
+        self._ctx = ctx
+        self._lib = lib
+        self._qt = self._sel = self._workspace = self._addresses = None
+        count = ctx.count
+        if name == "numpy":
+            self._workspace = (
+                np.empty((2, count), dtype=np.float64),
+                np.empty(count, dtype=np.float64),
+                np.empty(count, dtype=np.float64),
+            )
+        else:
+            self._qt = np.empty(count, dtype=np.float64)
+        if name == "oracle":
+            self._sel = np.empty(count, dtype=np.float64)
+        if name == "native":
+            self._addresses = (
+                _address(ctx.values),
+                ctx.window,
+                count,
+                *map(_address, (ctx.means, ctx.stds, ctx.inv_stds, ctx.coef, ctx.first_col)),
+                _address(self._qt),
+            )
+
+    def rows(
+        self,
+        start: int,
+        stop: int,
+        *,
+        reseed_interval: "int | None" = None,
+        ingest=None,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Profile/index arrays of rows ``[start, stop)``, as :func:`run_sweep`
+        returns them, but unchecked and unrecorded (no span, no metric)."""
+        ctx = self._ctx
+        name = self.kernel
+        length = stop - start
+        profile = np.full(length, np.inf, dtype=np.float64)
+        indices = np.full(length, -1, dtype=np.int64)
+        # Segment layout replicates the historical reseed loop: a fresh seed
+        # row followed by ``reseed_interval`` recurrence advances.
+        interval = length if reseed_interval is None else int(reseed_interval)
+        seg_len = interval + 1
+
+        block = None
+        if name == "native" and ingest is not None:
+            block_rows = max(1, min(length, _INGEST_BLOCK_BYTES // (8 * ctx.count)))
+            block = np.empty((block_rows, ctx.count), dtype=np.float64)
+        if name == "numpy":
+            best = np.empty(length, dtype=np.int64)
+            best_qt = np.empty(length, dtype=np.float64)
+            valid = np.zeros(length, dtype=bool)
+
+        seg_start = start
+        while seg_start < stop:
+            seg_stop = min(seg_start + seg_len, stop)
+            if name == "numpy":
+                _numpy_segment(
+                    ctx, self._workspace, seg_start, seg_stop, start, best, best_qt, valid, ingest
+                )
+            else:
+                _seed_into(ctx, self._qt, seg_start)
+                if name == "native":
+                    _native_segment(
+                        ctx,
+                        self._lib,
+                        self._qt,
+                        seg_start,
+                        seg_stop,
+                        start,
+                        profile,
+                        indices,
+                        ingest,
+                        block,
+                        self._addresses,
+                    )
+                else:
+                    _oracle_segment(
+                        ctx,
+                        self._qt,
+                        self._sel,
+                        seg_start,
+                        seg_stop,
+                        start,
+                        profile,
+                        indices,
+                        ingest,
+                    )
+            seg_start = seg_stop
+
+        if name == "numpy":
+            chosen = np.flatnonzero(valid)
+            if chosen.size:
+                profile[chosen] = _winner_distances(
+                    ctx, chosen + start, best[chosen], best_qt[chosen]
+                )
+                indices[chosen] = best[chosen]
+        return profile, indices
+
+
 def run_sweep(
     values: np.ndarray,
     window: int,
@@ -575,86 +722,32 @@ def run_sweep(
         raise InvalidParameterError(
             f"row range [{start}, {stop}) out of bounds for {count} rows"
         )
-    profile = np.full(length, np.inf, dtype=np.float64)
-    indices = np.full(length, -1, dtype=np.int64)
     if length == 0:
-        return profile, indices
+        return np.full(0, np.inf, dtype=np.float64), np.full(0, -1, dtype=np.int64)
 
     name = resolve_kernel(kernel)
-
     observing = obs.metrics_enabled() or obs.tracing_active()
     if observing:
         started_wall = time.time()
         started_at = time.perf_counter()
 
-    if compensated is None:
-        compensated = compensation_needed(means, means, stds)
-    ctx = _SweepContext(values, window, radius, means, stds, first_row_dots, compensated)
-
-    # Segment layout replicates the historical reseed loop: a fresh seed
-    # row followed by ``reseed_interval`` recurrence advances.
-    interval = length if reseed_interval is None else int(reseed_interval)
-    seg_len = interval + 1
-
-    lib = _native_lib() if name == "native" else None
-    if name == "native" and lib is None:  # pragma: no cover - racy unload guard
-        name = "numpy"
-    block = None
-    if name == "native" and ingest is not None:
-        rows = max(1, min(length, _INGEST_BLOCK_BYTES // (8 * count)))
-        block = np.empty((rows, count), dtype=np.float64)
-
-    if name == "numpy":
-        workspace = (
-            np.empty((2, count), dtype=np.float64),
-            np.empty(count, dtype=np.float64),
-            np.empty(count, dtype=np.float64),
-        )
-        best = np.empty(length, dtype=np.int64)
-        best_qt = np.empty(length, dtype=np.float64)
-        valid = np.zeros(length, dtype=bool)
-    else:
-        qt = np.empty(count, dtype=np.float64)
-        sel = np.empty(count, dtype=np.float64) if name == "oracle" else None
-
-    seg_start = start
-    while seg_start < stop:
-        seg_stop = min(seg_start + seg_len, stop)
-        if name == "numpy":
-            _numpy_segment(
-                ctx, workspace, seg_start, seg_stop, start, best, best_qt, valid, ingest
-            )
-        else:
-            _seed_into(ctx, qt, seg_start)
-            if name == "native":
-                _native_segment(
-                    ctx, lib, qt, seg_start, seg_stop, start, profile, indices, ingest, block
-                )
-            else:
-                _oracle_segment(
-                    ctx,
-                    qt,
-                    sel,
-                    seg_start,
-                    seg_stop,
-                    start,
-                    profile,
-                    indices,
-                    ingest,
-                )
-        seg_start = seg_stop
-
-    if name == "numpy":
-        chosen = np.flatnonzero(valid)
-        if chosen.size:
-            profile[chosen] = _winner_distances(
-                ctx, chosen + start, best[chosen], best_qt[chosen]
-            )
-            indices[chosen] = best[chosen]
+    sweep = PreparedSweep(
+        values,
+        window,
+        radius,
+        means,
+        stds,
+        first_row_dots,
+        kernel=name,
+        compensated=compensated,
+    )
+    profile, indices = sweep.rows(
+        int(start), int(stop), reseed_interval=reseed_interval, ingest=ingest
+    )
     if observing:
         _record_sweep(
             "kernel.sweep",
-            name,
+            sweep.kernel,
             length,
             started_wall,
             started_at,

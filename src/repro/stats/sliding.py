@@ -94,7 +94,9 @@ def moving_mean_std(series: np.ndarray, window: int) -> Tuple[np.ndarray, np.nda
     Standard deviations are *population* standard deviations (``ddof=0``),
     the convention used by the matrix-profile literature.  Values that are
     numerically indistinguishable from zero are clamped to exactly ``0.0`` so
-    callers can detect constant subsequences with ``std == 0``.
+    callers can detect constant subsequences with ``std == 0``; so is every
+    window in which no value changes, whatever rounding its prefix sums
+    carry (see :func:`_change_counts`).
 
     The variance is computed from prefix sums of the *mean-shifted* series:
     the standard deviation is invariant under a global shift, but the raw
@@ -113,8 +115,28 @@ def moving_mean_std(series: np.ndarray, window: int) -> Tuple[np.ndarray, np.nda
     np.cumsum(np.square(centered), out=ccsum_sq[1:])
     window_sum = csum[window:] - csum[:-window]
     means = window_sum / window
-    variances, stds = _variances_from_centered(ccsum_sq, means - center, window)
+    _, stds = _variances_from_centered(ccsum_sq, means - center, window)
+    stds[_flat_windows(_change_counts(array), window)] = 0.0
     return means, stds
+
+
+def _change_counts(values: np.ndarray) -> np.ndarray:
+    """``counts[k]``: how many adjacent pairs of ``values[:k+1]`` differ.
+
+    A window ``[i, i + w)`` is constant exactly when
+    ``counts[i + w - 1] == counts[i]``.  Prefix sums of the values cannot
+    tell: their cancellation leaves a flat run's windows a small nonzero
+    variance (a std of 8.2e-7 on one 300-point random walk), above the
+    relative guard of :func:`_variances_from_centered`.
+    """
+    counts = np.zeros(values.size, dtype=np.int32)  # 4 bytes a point, kept per series
+    np.cumsum(values[1:] != values[:-1], dtype=np.int32, out=counts[1:])
+    return counts
+
+
+def _flat_windows(counts: np.ndarray, window: int) -> np.ndarray:
+    """Mask of the length-``window`` subsequences in which no value changes."""
+    return counts[window - 1 :] == counts[: counts.size - window + 1]
 
 
 def _variances_from_centered(
@@ -158,6 +180,7 @@ class SlidingStats:
         self._cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._centered: np.ndarray | None = None
         self._ccsum_sq: np.ndarray | None = None
+        self._changes: np.ndarray | None = None
         self._centered_cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._compensation: dict[int, bool] = {}
 
@@ -205,6 +228,12 @@ class SlidingStats:
             self._ccsum_sq = ccsum_sq
         return self._ccsum_sq
 
+    def _change_counts(self) -> np.ndarray:
+        """:func:`_change_counts` of the series (lazy, cached)."""
+        if self._changes is None:
+            self._changes = _change_counts(self._values)
+        return self._changes
+
     def __len__(self) -> int:
         return int(self._values.size)
 
@@ -230,6 +259,7 @@ class SlidingStats:
         _, stds = _variances_from_centered(
             self._centered_csum_sq(), means - self.center, window
         )
+        stds[_flat_windows(self._change_counts(), window)] = 0.0
         stats = (means, stds)
         self._cache[window] = stats
         return stats
@@ -305,7 +335,8 @@ class SlidingStats:
             ccsum_sq[start + length] - ccsum_sq[start]
         ) / length - centered_mean * centered_mean
         scale = max((ccsum_sq[start + length] + ccsum_sq[start]) / length, 1.0)
-        if variance < _EPS_VARIANCE * scale:
+        changes = self._change_counts()
+        if variance < _EPS_VARIANCE * scale or changes[start + length - 1] == changes[start]:
             return 0.0
         return float(np.sqrt(max(variance, 0.0)))
 

@@ -10,10 +10,18 @@ from repro.baselines.brute_force_range import brute_force_range
 from repro.baselines.stomp_range import stomp_range
 from repro.core.valmod import valmod, valmod_with_config
 from repro.core.config import ValmodConfig
+from repro.core.partial_profile import PartialProfileStore
+from repro.core.results import PruningStats
 from repro.engine import ParallelExecutor
 from repro.exceptions import InvalidParameterError, LengthRangeError
 from repro.generators import generate_planted_motifs
+from repro.harness.workloads import build_workload
+from repro.matrix_profile.distance_profile import distance_profile
+from repro.matrix_profile.exclusion import apply_exclusion_zone, default_exclusion_radius
 from repro.matrix_profile.kernels import available_kernels
+from repro.matrix_profile.profile import MotifPair
+from repro.matrix_profile.stomp import stomp
+from repro.stats.sliding import SlidingStats
 
 
 class TestExactness:
@@ -307,7 +315,157 @@ class TestPhaseSpans:
 
         recomputes = spans["valmod.recompute"]
         assert len({event["args"]["length"] for event in recomputes}) == len(recomputes)
-        assert {event["args"]["kernel"] for event in recomputes} == {"mass"}
+        assert {event["args"]["kernel"] for event in recomputes} == {kernel}
+        assert all(event["args"]["rows"] >= event["args"]["profiles"] for event in recomputes)
         assert sum(event["args"]["profiles"] for event in recomputes) == int(
             result.extra["total_recomputed_profiles"]
         )
+
+
+def _mass_reference(values, config):
+    """VALMOD's selection loop with one MASS distance profile per needed
+    profile, the recompute the row-run sweeps replaced: per length above the
+    base, ``(pairs, pruning)``."""
+    stats = SlidingStats(values)
+    store = PartialProfileStore(
+        values,
+        stats,
+        config.min_length,
+        config.profile_capacity,
+        exclusion_factor=config.exclusion_factor,
+        lower_bound_kind=config.lower_bound_kind,
+    )
+    stomp(
+        values,
+        config.min_length,
+        exclusion_radius=default_exclusion_radius(config.min_length, config.exclusion_factor),
+        stats=stats,
+        ingest_store=store,
+    )
+    results = {}
+    for length in config.lengths[1:]:
+        evaluation = store.evaluate(length)
+        radius = default_exclusion_radius(length, config.exclusion_factor)
+        exact = np.array(evaluation.valid, dtype=bool)
+        min_distances = np.array(evaluation.min_distances, dtype=np.float64)
+        nearest = np.array(evaluation.min_indices, dtype=np.int64)
+        working = np.where(exact, min_distances, evaluation.max_lower_bounds)
+        pairs = []
+        recomputed = 0
+        while len(pairs) < config.top_k:
+            candidate = int(np.argmin(working))
+            if not np.isfinite(working[candidate]):
+                break
+            if not exact[candidate]:
+                profile = distance_profile(
+                    values, candidate, length, stats=stats, exclusion_radius=radius
+                )
+                best = int(np.argmin(profile))
+                finite = np.isfinite(profile[best])
+                min_distances[candidate] = profile[best] if finite else np.inf
+                nearest[candidate] = best if finite else -1
+                exact[candidate] = True
+                working[candidate] = min_distances[candidate]
+                recomputed += 1
+                continue
+            if nearest[candidate] < 0:
+                apply_exclusion_zone(working, candidate, radius)
+                continue
+            pairs.append(
+                MotifPair(
+                    distance=float(min_distances[candidate]),
+                    offset_a=candidate,
+                    offset_b=int(nearest[candidate]),
+                    window=length,
+                )
+            )
+            apply_exclusion_zone(working, candidate, radius)
+            apply_exclusion_zone(working, int(nearest[candidate]), radius)
+        results[length] = (
+            pairs,
+            PruningStats(
+                length=length,
+                num_profiles=int(evaluation.valid.size),
+                num_valid=evaluation.num_valid,
+                num_non_valid=evaluation.num_non_valid,
+                num_recomputed=recomputed,
+                min_lb_abs=evaluation.min_lb_abs,
+            ),
+        )
+    return results
+
+
+_REFERENCE_CASES = {
+    "ecg": (lambda: build_workload("ecg", 1024, random_state=0).values, 48, 64, 16),
+    "walk_a": (lambda: np.cumsum(np.random.default_rng(0).normal(size=400)), 16, 32, 2),
+    "walk_b": (lambda: np.cumsum(np.random.default_rng(21).normal(size=600)), 24, 36, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_runs():
+    runs = {}
+    for name, (make, low, high, capacity) in _REFERENCE_CASES.items():
+        values = make()
+        config = ValmodConfig(low, high, top_k=3, profile_capacity=capacity)
+        runs[name] = (values, config, _mass_reference(values, config))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ParallelExecutor(n_jobs=2) as executor:
+        yield executor
+
+
+class TestRowRunRecompute:
+    """The row-run recompute against the MASS loop it replaced: the same
+    pairs, the same Figure 2 counts, distances within 1e-8, on every kernel
+    and executor."""
+
+    @pytest.mark.parametrize("engine", [None, "serial", "pool"])
+    @pytest.mark.parametrize("kernel", available_kernels())
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_the_mass_loop(self, reference_runs, pool, case, kernel, engine):
+        values, config, reference = reference_runs[case]
+        result = valmod_with_config(
+            values, config, kernel=kernel, engine=pool if engine == "pool" else engine
+        )
+        for length, (pairs, pruning) in reference.items():
+            observed = result.length_results[length]
+            assert [p.offsets for p in observed.motifs] == [p.offsets for p in pairs], length
+            np.testing.assert_allclose(
+                [p.distance for p in observed.motifs],
+                [p.distance for p in pairs],
+                rtol=0,
+                atol=1e-8,
+            )
+            for name in ("num_profiles", "num_valid", "num_non_valid", "num_recomputed"):
+                assert getattr(observed.pruning, name) == getattr(pruning, name), (length, name)
+            if engine is None:
+                assert observed.pruning.min_lb_abs == pruning.min_lb_abs, length
+            else:
+                # Engine blocks seed their rows differently, which moves the
+                # bound by ~1e-13.
+                assert observed.pruning.min_lb_abs == pytest.approx(
+                    pruning.min_lb_abs, abs=1e-8
+                ), length
+        recomputed = sum(p.num_recomputed for _, p in reference.values())
+        assert result.extra["total_recomputed_profiles"] == recomputed
+        assert result.extra["total_rows_swept"] >= recomputed
+        if case == "ecg":
+            assert recomputed == 174
+
+    def test_bit_identical_pairs_on_every_kernel(self, reference_runs):
+        values, config, _ = reference_runs["ecg"]
+        runs = [valmod_with_config(values, config, kernel=k) for k in available_kernels()]
+        bits = [
+            [
+                (length, p.offset_a, p.offset_b, p.distance.hex())
+                for length in run.lengths
+                for p in run.length_results[length].motifs
+            ]
+            for run in runs
+        ]
+        assert all(b == bits[0] for b in bits[1:])
+        assert len({run.extra["total_rows_swept"] for run in runs}) == 1

@@ -550,6 +550,21 @@ def test_cli_store_rm_prunes_existing_catalog(tmp_path, capsys):
         assert index.count() == 0
 
 
+def test_cli_store_put_eviction_prunes_existing_catalog(tmp_path, capsys):
+    """A put whose byte cap evicts an indexed series takes its rows along."""
+    values = np.cumsum(np.random.default_rng(5).standard_normal(300))
+    digest = SeriesStore(tmp_path / "series").put(values, name="evicted")
+    with open_motif_index(tmp_path) as index:
+        index.add([_record(digest=digest, start=start) for start in range(3)])
+        assert len(index.query(f"digest={digest}")) == 3
+    argv = ["store", "--data-dir", str(tmp_path), "--max-bytes", "3000", "put"]
+    assert main([*argv, "--workload", "ecg", "--length", "301"]) == 0
+    capsys.readouterr()
+    assert digest not in SeriesStore(tmp_path / "series")
+    with open_motif_index(tmp_path) as index:
+        assert index.query(f"digest={digest}") == []
+
+
 def test_cli_store_rm_without_catalog_creates_none(tmp_path, capsys):
     rng = np.random.default_rng(4)
     store = SeriesStore(tmp_path / "series")

@@ -31,6 +31,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.api.session import Analysis, EngineConfig
 from repro.baselines.stomp_range import stomp_range
 from repro.core.partial_profile import _STATE_FIELDS, PartialProfileStore
@@ -122,6 +123,26 @@ def test_kernels_bit_equal_partial_ranges(case):
             result = run_sweep(*args, start, stop, kernel=name, reseed_interval=reseed)
             np.testing.assert_array_equal(result[0], reference[0], err_msg=name)
             np.testing.assert_array_equal(result[1], reference[1], err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_prepared_sweep_runs_equal_fresh_sweeps(case):
+    """One PreparedSweep sweeping many short runs (VALMOD's recomputes)
+    gives each run the bits a fresh run_sweep of that range gives, on
+    every kernel, and records no kernel.sweep span."""
+    values, window = SERIES_CASES[case]
+    args = _sweep_args(values, window)
+    count = args[3].size
+    runs = [(0, 1), (count // 2, count // 2 + 7), (1, count // 3), (count - 5, count)]
+    expected = {run: run_sweep(*args, *run, kernel="oracle") for run in runs}
+    for name in ["oracle", *FAST_KERNELS]:
+        sweep = kernels.PreparedSweep(*args, kernel=name)
+        with obs.trace() as collector:
+            for run in runs:
+                profile, indices = sweep.rows(*run)
+                np.testing.assert_array_equal(profile, expected[run][0], err_msg=name)
+                np.testing.assert_array_equal(indices, expected[run][1], err_msg=name)
+        assert not collector.spans()
 
 
 @pytest.mark.parametrize("kernel", FAST_KERNELS)

@@ -81,6 +81,20 @@ class TestMovingStatistics:
         assert stds[0] == 0.0
         assert stds[1] == 0.0
 
+    def test_flat_run_inside_a_walk_yields_zero_std(self):
+        # Prefix-sum cancellation left these windows a std of 8.2e-7.
+        rng = np.random.default_rng(5)
+        rng.standard_normal(300)
+        values = np.cumsum(rng.standard_normal(300))
+        values[100:160] = values[100]
+        stats = SlidingStats(values)
+        flat = slice(100, 145)  # the windows of length 16 inside the run
+        assert not np.any(moving_mean_std(values, 16)[1][flat])
+        assert not np.any(stats.stds(16)[flat])
+        assert stats.window_std(144, 16) == 0.0
+        assert stats.window_std(145, 16) > 0.0
+        assert np.all(stats.stds(16)[145:] > 0.0)
+
     def test_invalid_window_raises(self):
         values = np.arange(10, dtype=float)
         with pytest.raises(InvalidParameterError):
