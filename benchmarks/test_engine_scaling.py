@@ -21,7 +21,11 @@ asserted regardless of core count (advisory warnings by default,
 enforced under ``ENGINE_SPEEDUP_STRICT=1``) on the median of interleaved
 rounds over one row slice, not on the full sweeps timed minutes apart;
 every skipped gate says so loudly with a warning, so a green run that
-didn't check anything is visible in the log.
+didn't check anything is visible in the log.  The same rounds also time
+the native kernel against the numpy kernel — two fast kernels, the same
+rows, the same process, so the ratio does not inherit the oracle's drift
+with the process's history — and gate it where the native row routine is
+vectorised (:func:`repro.matrix_profile._native.row_path`).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import pytest
 from repro.core.partial_profile import PartialProfileStore
 from repro.engine import ParallelExecutor, partitioned_stomp
 from repro.generators import generate_random_walk
+from repro.matrix_profile import _native
 from repro.matrix_profile.exclusion import default_exclusion_radius
 from repro.matrix_profile.kernels import available_kernels, run_sweep
 from repro.matrix_profile.stomp import stomp
@@ -74,6 +79,10 @@ KERNEL_ROUNDS = 5
 #: Oracle time over kernel time, one entry per round and fast kernel;
 #: measured once by :func:`_kernel_round_speedups`.
 _ROUND_SPEEDUPS: dict[str, list[float]] = {}
+
+#: Numpy-kernel time over native-kernel time, one entry per round of
+#: :func:`_kernel_round_speedups` (empty without a native build).
+_ROUND_NATIVE_OVER_NUMPY: list[float] = []
 
 
 def _loud_skip(reason: str) -> None:
@@ -122,12 +131,15 @@ def _flush_results() -> None:
         sizes[str(n)] = merged
     for kernel, speedups in _ROUND_SPEEDUPS.items():
         sizes.setdefault(str(SIZES[-1]), {})[f"{kernel}_kernel_round_speedups"] = speedups
+    if _ROUND_NATIVE_OVER_NUMPY:
+        sizes[str(SIZES[-1])]["native_over_numpy_round_speedups"] = _ROUND_NATIVE_OVER_NUMPY
     payload = {
         "window": WINDOW,
         "effective_cores": _effective_cores(),
         "cpu_count": os.cpu_count(),
         "n_jobs": _n_jobs(),
         "serial_kernel": "oracle",
+        "native_row_path": _native.row_path(),
         "kernel_round_rows": KERNEL_ROUND_ROWS,
         "sizes": sizes,
     }
@@ -351,8 +363,11 @@ def _kernel_round_speedups() -> dict[str, list[float]]:
 
         for _ in range(KERNEL_ROUNDS):
             oracle = seconds("oracle")
-            for kernel in FAST_KERNELS:
-                _ROUND_SPEEDUPS.setdefault(kernel, []).append(oracle / seconds(kernel))
+            fast = {kernel: seconds(kernel) for kernel in FAST_KERNELS}
+            for kernel, taken in fast.items():
+                _ROUND_SPEEDUPS.setdefault(kernel, []).append(oracle / taken)
+            if "native" in fast:
+                _ROUND_NATIVE_OVER_NUMPY.append(fast["numpy"] / fast["native"])
         _flush_results()
     return _ROUND_SPEEDUPS
 
@@ -378,6 +393,36 @@ def test_kernel_speedup_floor(kernel):
     if os.environ.get("ENGINE_SPEEDUP_STRICT") == "1":
         assert speedup >= floor, message
     elif speedup < floor:
+        import warnings
+
+        warnings.warn(message + " (set ENGINE_SPEEDUP_STRICT=1 to enforce)")
+
+
+#: Floor of the native kernel over the numpy kernel when the native row
+#: routine is vectorised (the scalar loop is not held to it).
+_NATIVE_OVER_NUMPY_FLOOR = 3.0
+
+
+def test_native_speedup_over_numpy_floor():
+    """Native ÷ numpy kernel speed on the interleaved rounds: both fast
+    kernels over the same rows in one process.  Advisory like the other
+    floors (``ENGINE_SPEEDUP_STRICT=1`` enforces); skipped loudly without a
+    native build or where the native rows run the scalar loop."""
+    if "native" not in FAST_KERNELS:
+        _loud_skip("native kernel unavailable (no C compiler or disabled)")
+    row_path = _native.row_path()
+    if row_path not in ("avx2", "vector"):
+        _loud_skip(f"native rows run the {row_path} loop, not a vector routine")
+    _kernel_round_speedups()
+    speedup = statistics.median(_ROUND_NATIVE_OVER_NUMPY)
+    message = (
+        f"native kernel {speedup:.2f}x the numpy kernel (median of {KERNEL_ROUNDS} "
+        f"interleaved rounds, {row_path} rows) below the "
+        f"{_NATIVE_OVER_NUMPY_FLOOR:g}x floor"
+    )
+    if os.environ.get("ENGINE_SPEEDUP_STRICT") == "1":
+        assert speedup >= _NATIVE_OVER_NUMPY_FLOOR, message
+    elif speedup < _NATIVE_OVER_NUMPY_FLOOR:
         import warnings
 
         warnings.warn(message + " (set ENGINE_SPEEDUP_STRICT=1 to enforce)")

@@ -15,13 +15,26 @@
  *  - the build MUST use -ffp-contract=off: a fused multiply-add in the
  *    recurrence or in the Dekker two_product below would change roundings
  *    (two_product is *wrong* under contraction, not just different);
- *  - the argmax scans ascending with a strict '>' so ties resolve to the
- *    first maximum, matching np.argmax;
+ *  - each row's winner is the *first* maximum of its selection scores,
+ *    matching np.argmax: the ascending scans use a strict '>', the scalar
+ *    fused row scans descending with '>=', and the vector row (below)
+ *    folds 64-column block maxima with '>=' while walking descending,
+ *    then rescans the lowest block holding the maximum ascending for the
+ *    first score '==' to it.  All three pick the smallest index holding
+ *    the maximum (a +0.0 / -0.0 tie included) and never pick a NaN;
  *  - selection scores of constant columns/rows are injected exactly like
  *    the numpy kernel does (0.5*m*sigma_i, 1.0/0.5), never computed.
  *
- * The entry point is loaded via ctypes (see _native.py); it holds no
- * state and releases the GIL for the whole segment by construction.
+ * The row routine is chosen once per process (repro_row_path): four
+ * columns per instruction through GCC/Clang vector extensions -- compiled
+ * for AVX2 by a per-function target attribute on x86-64 and run only
+ * where the CPU has it, for the CPU's own vector unit elsewhere -- and
+ * the scalar fused loop otherwise.  No fma in the target: it would change
+ * roundings.  Building with -DREPRO_SCALAR_ROWS keeps the scalar loop
+ * everywhere (the test suite pins both paths against each other).
+ *
+ * The entry points are loaded via ctypes (see _native.py); they hold no
+ * state and release the GIL for the whole segment by construction.
  * Further down, under the same rules: the AB-join and SCRIMP entries, and
  * VALMOD's partial-profile store (a sweep that hands its rows to the
  * base-pass ingest, the ingest itself, the per-length advance and the
@@ -84,96 +97,290 @@ static double winner_distance(double qt_best, double window, double query_mean,
     return sqrt(squared);
 }
 
+/* ------------------------------------------------------------------ */
+/* The common-case row: advance + select in one pass                  */
+/* ------------------------------------------------------------------ */
+
+/* One row of the common case (a row after its segment's seed, query not
+ * constant, no constant column): qt advances in place from row off - 1 to
+ * row off over the columns u (the series itself, or series B of a join),
+ *
+ *     qt[j] = (qt[j-1] - a*u[j-1]) + b*u[j+m-1],   qt[0] = first,
+ *
+ * and the row's selection scores (qt[j] - row_coef*means[j]) * inv_stds[j]
+ * outside the exclusion zone [lo, hi) are reduced to their first maximum:
+ * *best and *best_sel are updated only by a score >= *best_sel, exactly
+ * like the descending scalar scan, so callers seed them as that scan did. */
+typedef struct {
+    const double *u, *means, *inv_stds;
+    i64 window, count, lo, hi;
+    double a, b, row_coef, first;
+} row_args;
+
+#define ROW_SCALAR 0
+#define ROW_AVX2 1
+#define ROW_VECTOR 2
+
+/* The scalar fused loop: descending, '>=' keeps the smallest index.  The
+ * arguments are copied to locals, which the stores into qt cannot alias. */
+static void scalar_row(const row_args *r, double *qt, i64 *best_out,
+                       double *best_sel_out) {
+    const double *u = r->u, *means = r->means, *inv_stds = r->inv_stds;
+    const double a = r->a, b = r->b, row_coef = r->row_coef;
+    const i64 m1 = r->window - 1, lo = r->lo, hi = r->hi;
+    i64 j, best = *best_out;
+    double best_sel = *best_sel_out;
+    for (j = r->count - 1; j >= 1; j--) {
+        double q = (qt[j - 1] - a * u[j - 1]) + b * u[j + m1];
+        qt[j] = q;
+        if (j < lo || j >= hi) {
+            double sel = (q - row_coef * means[j]) * inv_stds[j];
+            if (sel >= best_sel) {
+                best_sel = sel;
+                best = j;
+            }
+        }
+    }
+    qt[0] = r->first;
+    if (0 < lo || 0 >= hi) {
+        double sel = (qt[0] - row_coef * means[0]) * inv_stds[0];
+        if (sel >= best_sel) {
+            best_sel = sel;
+            best = 0;
+        }
+    }
+    *best_out = best;
+    *best_sel_out = best_sel;
+}
+
+#if !defined(REPRO_SCALAR_ROWS) && defined(__GNUC__)
+#define HAVE_VECTOR_ROWS 1
+#if defined(__x86_64__) || defined(__i386__)
+#define ROW_TARGET __attribute__((target("avx2")))
+#else
+#define ROW_TARGET
+#endif
+
+typedef double v4d __attribute__((vector_size(32)));
+typedef long long v4i __attribute__((vector_size(32)));
+
+/* Columns per block of the maximum fold; a multiple of the 4 lanes. */
+#define ROW_BLOCK 64
+
+ROW_TARGET static inline v4d load4(const double *p) {
+    v4d v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+ROW_TARGET static inline void store4(double *p, v4d v) { memcpy(p, &v, sizeof v); }
+
+/* The first j of [from, to) whose recomputed score == target, or -1. */
+static i64 first_equal(const row_args *r, const double *qt, i64 from, i64 to,
+                       double target) {
+    i64 j;
+    for (j = from; j < to; j++)
+        if ((qt[j] - r->row_coef * r->means[j]) * r->inv_stds[j] == target)
+            return j;
+    return -1;
+}
+
+/* Advance columns [from, to) descending, four at a time: each chunk loads
+ * the old qt[s-1 .. s+2] before it stores qt[s .. s+3], and every lower
+ * column is still old.  With `score`, also fold the block maxima: a
+ * strict '>' per lane (a NaN never enters), and a block replaces the
+ * running maximum (*top, block [*top_lo, *top_hi)) when its own is '>='
+ * it, so the lowest block holding the maximum is kept. */
+ROW_TARGET static void vector_range(const row_args *r, double *qt, i64 from, i64 to,
+                                    int score, double *top, i64 *top_lo,
+                                    i64 *top_hi) {
+    const double *u = r->u, *means = r->means, *inv_stds = r->inv_stds;
+    const double a = r->a, b = r->b, row_coef = r->row_coef;
+    const i64 m1 = r->window - 1;
+    const v4d va = {a, a, a, a}, vb = {b, b, b, b};
+    const v4d vc = {row_coef, row_coef, row_coef, row_coef};
+    i64 end = to;
+    while (end > from) {
+        i64 begin = (end - from > ROW_BLOCK) ? end - ROW_BLOCK : from;
+        v4d acc = {-INFINITY, -INFINITY, -INFINITY, -INFINITY};
+        double block_max = -INFINITY;
+        i64 s, j, k;
+        for (s = end - 4; s >= begin; s -= 4) {
+            v4d q = (load4(qt + s - 1) - va * load4(u + s - 1)) + vb * load4(u + s + m1);
+            store4(qt + s, q);
+            if (score) {
+                v4d sel = (q - vc * load4(means + s)) * load4(inv_stds + s);
+                v4i wins = (v4i)(sel > acc);
+                acc = (v4d)(((v4i)sel & wins) | ((v4i)acc & ~wins));
+            }
+        }
+        for (j = s + 3; j >= begin; j--) {
+            double q = (qt[j - 1] - a * u[j - 1]) + b * u[j + m1];
+            qt[j] = q;
+            if (score) {
+                double sel = (q - row_coef * means[j]) * inv_stds[j];
+                if (sel > block_max)
+                    block_max = sel;
+            }
+        }
+        if (score) {
+            for (k = 0; k < 4; k++)
+                if (acc[k] > block_max)
+                    block_max = acc[k];
+            if (block_max >= *top) {
+                *top = block_max;
+                *top_lo = begin;
+                *top_hi = end;
+            }
+        }
+        end = begin;
+    }
+}
+
+/* scalar_row's contract in three descending ranges -- [hi, count) scored,
+ * [lo, hi) advanced only, [1, lo) scored -- then column 0. */
+ROW_TARGET static void vector_row(const row_args *r, double *qt, i64 *best,
+                                  double *best_sel) {
+    i64 count = r->count;
+    i64 lo = r->lo < 1 ? 1 : r->lo, hi = r->hi < lo ? lo : r->hi;
+    i64 top_lo = 0, top_hi = 0, j;
+    double top = -INFINITY;
+    if (hi > count)
+        hi = count;
+    vector_range(r, qt, hi, count, 1, &top, &top_lo, &top_hi);
+    vector_range(r, qt, lo, hi, 0, &top, &top_lo, &top_hi);
+    vector_range(r, qt, 1, lo, 1, &top, &top_lo, &top_hi);
+    if (top > -INFINITY) {
+        j = first_equal(r, qt, top_lo, top_hi, top);
+    } else {
+        /* Every score is -inf or NaN (or there is none): the first -inf,
+         * the one the descending '>=' scan would end on. */
+        j = first_equal(r, qt, 1, lo, top);
+        if (j < 0)
+            j = first_equal(r, qt, hi, count, top);
+    }
+    if (j >= 0 && top >= *best_sel) {
+        *best_sel = top;
+        *best = j;
+    }
+    qt[0] = r->first;
+    if (0 < r->lo || 0 >= r->hi) {
+        double sel = (qt[0] - r->row_coef * r->means[0]) * r->inv_stds[0];
+        if (sel >= *best_sel) {
+            *best_sel = sel;
+            *best = 0;
+        }
+    }
+}
+#endif
+
+/* Which row routine this process runs: ROW_AVX2, ROW_VECTOR or
+ * ROW_SCALAR, decided on the first call. */
+static int row_path(void) {
+    static int path = -1;
+    if (path < 0) {
+#if defined(HAVE_VECTOR_ROWS) && (defined(__x86_64__) || defined(__i386__))
+        __builtin_cpu_init();
+        path = __builtin_cpu_supports("avx2") ? ROW_AVX2 : ROW_SCALAR;
+#elif defined(HAVE_VECTOR_ROWS)
+        path = ROW_VECTOR;
+#else
+        path = ROW_SCALAR;
+#endif
+    }
+    return path;
+}
+
+int repro_row_path(void) { return row_path(); }
+
+static void sweep_row(const row_args *r, double *qt, i64 *best, double *best_sel) {
+#ifdef HAVE_VECTOR_ROWS
+    if (row_path() != ROW_SCALAR) {
+        vector_row(r, qt, best, best_sel);
+        return;
+    }
+#endif
+    scalar_row(r, qt, best, best_sel);
+}
+
+/* Row `off` of a self-join sweep into profile[0] / indices[0]: advanced
+ * from row off - 1 when `advance`, then reduced to its first maximum. */
+static void stomp_row(const double *values, i64 window, i64 count,
+                      const double *means, const double *stds,
+                      const double *inv_stds, const double *coef,
+                      const double *first_col, double *qt, i64 off, int advance,
+                      i64 radius, int compensated, int has_const,
+                      double *profile, i64 *indices) {
+    double window_d = (double)window;
+    i64 j, lo, hi, best = -1;
+    double best_sel = -INFINITY;
+    double query_std = stds[off];
+    lo = off - radius;
+    if (lo < 0)
+        lo = 0;
+    hi = off + radius + 1;
+    if (hi > count)
+        hi = count;
+    if (advance && query_std != 0.0 && !has_const) {
+        row_args r = {values, means, inv_stds, window, count, lo, hi,
+                      values[off - 1], values[off + window - 1], coef[off],
+                      first_col[off]};
+        sweep_row(&r, qt, &best, &best_sel);
+    } else {
+        if (advance) {
+            double a = values[off - 1];
+            double b = values[off + window - 1];
+            for (j = count - 1; j >= 1; j--)
+                qt[j] = (qt[j - 1] - a * values[j - 1]) + b * values[j + window - 1];
+            qt[0] = first_col[off];
+        }
+        if (query_std == 0.0) {
+            for (j = 0; j < count; j++) {
+                double sel;
+                if (j >= lo && j < hi)
+                    continue;
+                sel = (stds[j] == 0.0) ? 1.0 : 0.5;
+                if (sel > best_sel) {
+                    best_sel = sel;
+                    best = j;
+                }
+            }
+        } else {
+            double row_coef = coef[off];
+            double half_wq = 0.5 * (window_d * query_std);
+            for (j = 0; j < count; j++) {
+                double sel;
+                if (j >= lo && j < hi)
+                    continue;
+                sel = (stds[j] == 0.0)
+                          ? half_wq
+                          : (qt[j] - row_coef * means[j]) * inv_stds[j];
+                if (sel > best_sel) {
+                    best_sel = sel;
+                    best = j;
+                }
+            }
+        }
+    }
+    if (best >= 0 && best_sel != -INFINITY) {
+        *profile = winner_distance(qt[best], window_d, means[off], means[best],
+                                   query_std, stds[best], compensated,
+                                   sqrt(window_d));
+        *indices = best;
+    }
+}
+
 void repro_stomp_segment(const double *values, i64 window, i64 count,
                          const double *means, const double *stds,
                          const double *inv_stds, const double *coef,
                          const double *first_col, double *qt, i64 start,
                          i64 stop, i64 radius, int compensated, int has_const,
                          double *profile, i64 *indices) {
-    double window_d = (double)window;
-    double sqrt_window = sqrt(window_d);
     i64 off;
-    for (off = start; off < stop; off++) {
-        i64 j, lo, hi, best = -1;
-        double best_sel = -INFINITY;
-        double query_std = stds[off];
-        lo = off - radius;
-        if (lo < 0)
-            lo = 0;
-        hi = off + radius + 1;
-        if (hi > count)
-            hi = count;
-        if (off > start && query_std != 0.0 && !has_const) {
-            /* Common case: fuse the advance with the selection scan so the
-             * row is reduced while each element is still in a register.
-             * The scan runs descending, so ties resolve with '>=' to keep
-             * the *smallest* winning index — the same first-occurrence
-             * rule as np.argmax and the ascending '>' scan below. */
-            double a = values[off - 1];
-            double b = values[off + window - 1];
-            double row_coef = coef[off];
-            for (j = count - 1; j >= 1; j--) {
-                double q = (qt[j - 1] - a * values[j - 1]) + b * values[j + window - 1];
-                qt[j] = q;
-                if (j < lo || j >= hi) {
-                    double sel = (q - row_coef * means[j]) * inv_stds[j];
-                    if (sel >= best_sel) {
-                        best_sel = sel;
-                        best = j;
-                    }
-                }
-            }
-            qt[0] = first_col[off];
-            if (0 < lo || 0 >= hi) {
-                double sel = (qt[0] - row_coef * means[0]) * inv_stds[0];
-                if (sel >= best_sel) {
-                    best_sel = sel;
-                    best = 0;
-                }
-            }
-        } else {
-            if (off > start) {
-                double a = values[off - 1];
-                double b = values[off + window - 1];
-                for (j = count - 1; j >= 1; j--)
-                    qt[j] = (qt[j - 1] - a * values[j - 1]) + b * values[j + window - 1];
-                qt[0] = first_col[off];
-            }
-            if (query_std == 0.0) {
-                for (j = 0; j < count; j++) {
-                    double sel;
-                    if (j >= lo && j < hi)
-                        continue;
-                    sel = (stds[j] == 0.0) ? 1.0 : 0.5;
-                    if (sel > best_sel) {
-                        best_sel = sel;
-                        best = j;
-                    }
-                }
-            } else {
-                double row_coef = coef[off];
-                double half_wq = 0.5 * (window_d * query_std);
-                for (j = 0; j < count; j++) {
-                    double sel;
-                    if (j >= lo && j < hi)
-                        continue;
-                    sel = (stds[j] == 0.0)
-                              ? half_wq
-                              : (qt[j] - row_coef * means[j]) * inv_stds[j];
-                    if (sel > best_sel) {
-                        best_sel = sel;
-                        best = j;
-                    }
-                }
-            }
-        }
-        if (best >= 0 && best_sel != -INFINITY) {
-            profile[off - start] =
-                winner_distance(qt[best], window_d, means[off], means[best],
-                                query_std, stds[best], compensated, sqrt_window);
-            indices[off - start] = best;
-        }
-    }
+    for (off = start; off < stop; off++)
+        stomp_row(values, window, count, means, stds, inv_stds, coef, first_col, qt,
+                  off, off > start, radius, compensated, has_const,
+                  profile + (off - start), indices + (off - start));
 }
 
 /* One reseed segment of an AB-join sweep: rows [start, stop) of series A
@@ -200,29 +407,12 @@ void repro_ab_join_segment(const double *values_a, const double *values_b,
         double best_sel = -INFINITY;
         double query_std = stds_a[off];
         if (off > start && query_std != 0.0 && !has_const) {
-            /* Common case: fused advance + descending '>=' scan, exactly
-             * like the self-join kernel but with A-scalars against
-             * B-slices and no exclusion-zone test in the loop. */
-            double a = values_a[off - 1];
-            double b = values_a[off + window - 1];
-            double row_coef = coef_a[off];
-            double sel;
-            for (j = count_b - 1; j >= 1; j--) {
-                double q =
-                    (qt[j - 1] - a * values_b[j - 1]) + b * values_b[j + window - 1];
-                qt[j] = q;
-                sel = (q - row_coef * means_b[j]) * inv_stds_b[j];
-                if (sel >= best_sel) {
-                    best_sel = sel;
-                    best = j;
-                }
-            }
-            qt[0] = first_col[off];
-            sel = (qt[0] - row_coef * means_b[0]) * inv_stds_b[0];
-            if (sel >= best_sel) {
-                best_sel = sel;
-                best = 0;
-            }
+            /* The common-case row routine, with B as the columns and an
+             * empty exclusion zone. */
+            row_args r = {values_b, means_b, inv_stds_b, window, count_b, count_b,
+                          count_b, values_a[off - 1], values_a[off + window - 1],
+                          coef_a[off], first_col[off]};
+            sweep_row(&r, qt, &best, &best_sel);
         } else {
             if (off > start) {
                 double a = values_a[off - 1];
@@ -474,14 +664,13 @@ static void retain_row(const double *qt, i64 count, i64 off, i64 length,
 /* repro_stomp_segment that also hands out its rows, for VALMOD's
  * base-pass ingest.
  *
- * Rows [start, stop) are advanced with the same recurrence and reduced by
- * a one-row call of repro_stomp_segment (its seed-row branch: the
- * ascending '>' scan picks the same first maximum as the fused scan);
- * each row's dot products are then copied to row (off - start) of
- * `rows`, a (stop - start, count) block the store retains from.  `seed`
- * is the segment's seed row: qt holds row `seed` when start == seed and
- * row start - 1 otherwise, so one segment can be swept in several
- * blocks. */
+ * Rows [start, stop) are swept row by row exactly as repro_stomp_segment
+ * sweeps them (a row after the seed runs the common-case row routine when
+ * it applies); each row's dot products are then copied to row
+ * (off - start) of `rows`, a (stop - start, count) block the store
+ * retains from.  `seed` is the segment's seed row: qt holds row `seed`
+ * when start == seed and row start - 1 otherwise, so one segment can be
+ * swept in several blocks. */
 void repro_stomp_rows_segment(
     const double *values, i64 window, i64 count, const double *means,
     const double *stds, const double *inv_stds, const double *coef,
@@ -490,18 +679,9 @@ void repro_stomp_rows_segment(
     double *rows) {
     i64 off;
     for (off = start; off < stop; off++) {
-        if (off > seed) {
-            double a = values[off - 1];
-            double b = values[off + window - 1];
-            i64 j;
-            for (j = count - 1; j >= 1; j--)
-                qt[j] = (qt[j - 1] - a * values[j - 1]) + b * values[j + window - 1];
-            qt[0] = first_col[off];
-        }
-        repro_stomp_segment(values, window, count, means, stds, inv_stds, coef,
-                            first_col, qt, off, off + 1, radius, compensated,
-                            has_const, profile + (off - start),
-                            indices + (off - start));
+        stomp_row(values, window, count, means, stds, inv_stds, coef, first_col, qt,
+                  off, off > seed, radius, compensated, has_const,
+                  profile + (off - start), indices + (off - start));
         memcpy(rows + (off - start) * count, qt, (size_t)count * sizeof(double));
     }
 }

@@ -35,7 +35,13 @@ one window keep and reuse):
 ``"native"``
     A small C translation of the numpy kernel, compiled on demand with the
     system C compiler and loaded through :mod:`ctypes`
-    (:mod:`repro.matrix_profile._native`).  It also carries VALMOD's
+    (:mod:`repro.matrix_profile._native`).  Its common-case row (every row
+    after a segment's seed, unless a window is constant) advances, scores
+    and reduces four columns per instruction in one pass — AVX2 on x86-64
+    CPUs that have it, the compiler's vector extensions elsewhere, the
+    one-column loop otherwise (:func:`~repro.matrix_profile._native.row_path`
+    names the one in use) — for the self-join sweep, the base pass's row
+    blocks and the AB-join alike.  It also carries VALMOD's
     partial-profile store: the base-pass sweep hands its rows to the
     store block by block and the store retains them in C, and the store's
     per-length advance and evaluation run in C too.  Optional: when no
@@ -52,7 +58,10 @@ The three kernels produce **identical** profiles and indices, not merely
 close ones (``tests/test_kernels.py`` pins this).  Two ingredients make
 that possible:
 
-* Every kernel picks each row's winner by ``argmax`` over the same
+* Every kernel picks each row's winner as the first column holding the
+  maximum (``np.argmax``'s rule; the C kernel's vector row keeps it by
+  folding 64-column block maxima and rescanning the lowest block that
+  holds the maximum) of the same
   *selection scores* ``sel[j] = (QT[j] - m·μ_i·μ_j) / σ_j`` — the
   numerator of the Pearson correlation scaled by the row-constant
   ``1 / (m·σ_i)``, evaluated with the exact same floating-point operation

@@ -67,7 +67,9 @@ digest instead of megabytes of values.
 Protocol
 --------
 ======================= ==================================================
-``GET /health``         liveness + queue depth
+``GET /health``         liveness + queue depth, the sweep kernel in effect,
+                        the native row routine (``avx2`` / ``vector`` /
+                        ``scalar``) or why no native kernel loaded
 ``GET /capabilities``   the algorithm registry's capability table
 ``GET /stats``          counters, completion order, per-session cache info,
                         latency summaries
@@ -126,6 +128,8 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.index import MotifIndex, QuerySpec
+from repro.matrix_profile import _native
+from repro.matrix_profile.kernels import resolve_kernel
 from repro.store import DEFAULT_STORE_MAX_BYTES, SeriesStore
 from repro.store.series_store import is_series_digest
 
@@ -1222,6 +1226,9 @@ class AnalysisService:
                 "queue_depth": self._queue.qsize(),
                 "backlog": self._config.backlog,
                 "workers": self._config.workers,
+                "kernel": resolve_kernel(self._config.engine.kernel),
+                "native_rows": _native.row_path(),
+                "native_unavailable": _native.unavailable_reason(),
             }
         if method == "GET" and path == "/capabilities":
             return 200, {"algorithms": capabilities()}

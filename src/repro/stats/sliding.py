@@ -98,26 +98,34 @@ def moving_mean_std(series: np.ndarray, window: int) -> Tuple[np.ndarray, np.nda
     window in which no value changes, whatever rounding its prefix sums
     carry (see :func:`_change_counts`).
 
-    The variance is computed from prefix sums of the *mean-shifted* series:
-    the standard deviation is invariant under a global shift, but the raw
-    sums of squares are not — on a series sitting at offset ``1e6`` they
-    reach ``1e15`` and their float64 rounding error wipes out any variance
-    below ``1e-3``.  Centering first makes the error scale with the series
-    *spread* instead of its absolute offset.
+    Both statistics come from prefix sums of the *mean-shifted* series,
+    and the shift is added back to the means: the standard deviation is
+    invariant under a global shift, but raw sums are not — on a series
+    sitting at offset ``1e6`` the sums of squares reach ``1e15`` and their
+    float64 rounding error wipes out any variance below ``1e-3``, and the
+    raw window sums carry an error that survives the variance's
+    cancellation on low-variance windows.  Centering first makes both
+    errors scale with the series *spread* instead of its absolute offset.
     """
     array = _as_float_array(series)
     _validate_window(array.size, window)
     csum, _ = prefix_sums(array)
     center = csum[-1] / array.size
-    centered = array - center
-    ccsum_sq = np.empty(array.size + 1, dtype=np.float64)
-    ccsum_sq[0] = 0.0
-    np.cumsum(np.square(centered), out=ccsum_sq[1:])
-    window_sum = csum[window:] - csum[:-window]
-    means = window_sum / window
-    _, stds = _variances_from_centered(ccsum_sq, means - center, window)
+    ccsum, ccsum_sq = _centered_prefix_sums(array - center)
+    centered_means = (ccsum[window:] - ccsum[:-window]) / window
+    _, stds = _variances_from_centered(ccsum_sq, centered_means, window)
     stds[_flat_windows(_change_counts(array), window)] = 0.0
-    return means, stds
+    return centered_means + center, stds
+
+
+def _centered_prefix_sums(centered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`prefix_sums` of an already mean-shifted series."""
+    ccsum = np.empty(centered.size + 1, dtype=np.float64)
+    ccsum_sq = np.empty(centered.size + 1, dtype=np.float64)
+    ccsum[0] = ccsum_sq[0] = 0.0
+    np.cumsum(centered, out=ccsum[1:])
+    np.cumsum(np.square(centered), out=ccsum_sq[1:])
+    return ccsum, ccsum_sq
 
 
 def _change_counts(values: np.ndarray) -> np.ndarray:
@@ -179,7 +187,7 @@ class SlidingStats:
         self._csum, self._csum_sq = prefix_sums(self._values)
         self._cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._centered: np.ndarray | None = None
-        self._ccsum_sq: np.ndarray | None = None
+        self._centered_psums: Tuple[np.ndarray, np.ndarray] | None = None
         self._changes: np.ndarray | None = None
         self._centered_cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._compensation: dict[int, bool] = {}
@@ -219,14 +227,11 @@ class SlidingStats:
         view.flags.writeable = False
         return view
 
-    def _centered_csum_sq(self) -> np.ndarray:
-        """Prefix sums of squares of the centered series (lazy, cached)."""
-        if self._ccsum_sq is None:
-            ccsum_sq = np.empty(self._values.size + 1, dtype=np.float64)
-            ccsum_sq[0] = 0.0
-            np.cumsum(np.square(self.centered_values), out=ccsum_sq[1:])
-            self._ccsum_sq = ccsum_sq
-        return self._ccsum_sq
+    def _centered_sums(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Prefix sums and sums of squares of the centered series (lazy, cached)."""
+        if self._centered_psums is None:
+            self._centered_psums = _centered_prefix_sums(self.centered_values)
+        return self._centered_psums
 
     def _change_counts(self) -> np.ndarray:
         """:func:`_change_counts` of the series (lazy, cached)."""
@@ -246,37 +251,38 @@ class SlidingStats:
     # window statistics
     # ------------------------------------------------------------------ #
     def mean_std(self, window: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(means, stds)`` for every subsequence of length ``window``."""
-        _validate_window(self._values.size, window)
+        """``(means, stds)`` for every subsequence of length ``window``.
+
+        The means are the centered means plus :attr:`center` (see
+        :meth:`centered_mean_std`).
+        """
         cached = self._cache.get(window)
-        if cached is not None:
-            return cached
-        window_sum = self._csum[window:] - self._csum[:-window]
-        means = window_sum / window
-        # Variances from the *centered* sums of squares (see moving_mean_std):
-        # invariant in exact arithmetic, dramatically more accurate when the
-        # series sits at a large offset.
-        _, stds = _variances_from_centered(
-            self._centered_csum_sq(), means - self.center, window
-        )
-        stds[_flat_windows(self._change_counts(), window)] = 0.0
-        stats = (means, stds)
-        self._cache[window] = stats
-        return stats
+        if cached is None:
+            centered_means, stds = self.centered_mean_std(window)
+            cached = (centered_means + self.center, stds)
+            self._cache[window] = cached
+        return cached
 
     def centered_mean_std(self, window: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(means - center, stds)`` for every subsequence, cached per window.
 
         These are the statistics of :attr:`centered_values` — exactly what
         the centred MASS / distance-profile / AB-join paths feed into the
-        ``qt -> correlation`` conversion.  Cached separately so per-query
-        loops (STAMP, PreSCRIMP, VALMOD's recomputations) do not re-subtract
-        the center on every call.
+        ``qt -> correlation`` conversion.  Both come from prefix sums of the
+        centered series (see :func:`moving_mean_std`): invariant in exact
+        arithmetic, dramatically more accurate when the series sits at a
+        large offset.  Cached separately so per-query loops (STAMP,
+        PreSCRIMP, VALMOD's recomputations) do not re-subtract the center
+        on every call.
         """
         cached = self._centered_cache.get(window)
         if cached is None:
-            means, stds = self.mean_std(window)
-            cached = (means - self.center, stds)
+            _validate_window(self._values.size, window)
+            ccsum, ccsum_sq = self._centered_sums()
+            centered_means = (ccsum[window:] - ccsum[:-window]) / window
+            _, stds = _variances_from_centered(ccsum_sq, centered_means, window)
+            stds[_flat_windows(self._change_counts(), window)] = 0.0
+            cached = (centered_means, stds)
             self._centered_cache[window] = cached
         return cached
 
@@ -329,8 +335,9 @@ class SlidingStats:
 
     def window_std(self, start: int, length: int) -> float:
         """Population standard deviation of ``series[start:start+length]``."""
-        centered_mean = self.window_mean(start, length) - self.center
-        ccsum_sq = self._centered_csum_sq()
+        self._validate_slice(start, length)
+        ccsum, ccsum_sq = self._centered_sums()
+        centered_mean = (ccsum[start + length] - ccsum[start]) / length
         variance = (
             ccsum_sq[start + length] - ccsum_sq[start]
         ) / length - centered_mean * centered_mean

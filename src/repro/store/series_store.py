@@ -27,7 +27,8 @@ a content-addressed blob store whose blob directory is its whole catalog:
   optionally verified) incrementally;
 * **degradation, not errors**: a corrupted, truncated or digest-mismatched
   blob reads back as a *miss* and is removed, so the slot heals on the next
-  ``put``.  :meth:`SeriesStore.gc` removes ingest temp files, name files
+  ``put``.  :meth:`SeriesStore.gc` removes the temp files of crashed or
+  abandoned uploads (a live upload holds a lock on its own), name files
   whose blob is gone and blobs that fail verification, then re-applies the
   cap.
 
@@ -46,6 +47,7 @@ names held only in that file read back as ``"series"``.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import tempfile
@@ -122,6 +124,38 @@ def _unlink(path) -> bool:
     return True
 
 
+def _locked_temp(root) -> Tuple[int, str]:
+    """A new ingest temp file in ``root``, open and exclusively ``flock``-ed.
+
+    The writer keeps the lock until the file has its final name, which is
+    how :meth:`SeriesStore.gc` tells a live upload from a crash's leftover
+    (a lock dies with its process).  A file swept between its creation and
+    the lock is replaced.
+    """
+    while True:
+        fd, path = tempfile.mkstemp(dir=root, prefix=_TEMP_PREFIX, suffix=_TEMP_SUFFIX)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        if os.fstat(fd).st_nlink:
+            return fd, path
+        os.close(fd)
+
+
+def _unlink_unlocked(path) -> bool:
+    """Remove one temp file unless a writer holds its lock; returns whether
+    it went."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return False
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return _unlink(path)
+    except OSError:  # held: an upload still streaming
+        return False
+    finally:
+        os.close(fd)
+
+
 def _stamp(path) -> None:
     """Move one blob to the hot end of the LRU order.
 
@@ -143,7 +177,9 @@ class ChunkedIngest:
     the store root, so the full series never has to be materialised; the
     temp file is renamed into its content address only when the digest is
     known (and verified, when the caller predicted one).  :meth:`abort`
-    (or garbage collection of an unfinished ingest) removes the temp file.
+    removes the temp file.  The upload holds an exclusive ``flock`` on it
+    until then, so :meth:`SeriesStore.gc` from any store object or process
+    leaves it alone.
     """
 
     def __init__(
@@ -156,10 +192,9 @@ class ChunkedIngest:
         self._expected = expected_digest
         self._sha1 = hashlib.sha1()
         self._bytes = 0
-        self._handle = tempfile.NamedTemporaryFile(
-            mode="wb", dir=store.root, prefix=_TEMP_PREFIX, suffix=_TEMP_SUFFIX, delete=False
-        )
-        self._temp_path = Path(self._handle.name)
+        fd, temp = _locked_temp(store.root)
+        self._handle = os.fdopen(fd, "wb")
+        self._temp_path = Path(temp)
         self._done = False
 
     @property
@@ -196,8 +231,8 @@ class ChunkedIngest:
         if self._done:
             raise StoreError("this ingest is already finalised or aborted")
         self._done = True
-        self._handle.close()
         try:
+            self._handle.flush()
             if self._bytes == 0 or self._bytes % _ITEM_SIZE:
                 raise StoreError(
                     f"ingested {self._bytes} bytes, which is not a non-empty "
@@ -210,12 +245,14 @@ class ChunkedIngest:
                         f"digest mismatch: the ingested bytes hash to {digest}, "
                         f"not the announced {announced}"
                     )
+            # Renamed while still open, so still locked against gc.
             self._store._adopt_blob(  # noqa: SLF001 - ingest is the store's own half
                 self._temp_path, digest, self._name
             )
         except BaseException:
             self.abort()
             raise
+        self._handle.close()
         return digest
 
     def abort(self) -> None:
@@ -348,12 +385,14 @@ class SeriesStore:
 
     def _write_name(self, digest: str, name: str) -> None:
         """Atomically (re)write the display name beside the blob.  The temp
-        file carries the ingest prefix, so :meth:`gc` sweeps up a crash's."""
-        fd, temp = tempfile.mkstemp(dir=self._root, prefix=_TEMP_PREFIX, suffix=_TEMP_SUFFIX)
+        file carries the ingest prefix and its lock, so :meth:`gc` sweeps up
+        a crash's but not one being written."""
+        fd, temp = _locked_temp(self._root)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(str(name))
-            os.replace(temp, self._name_path(digest))
+                handle.flush()
+                os.replace(temp, self._name_path(digest))
         except BaseException:
             _unlink(temp)
             raise
@@ -556,15 +595,17 @@ class SeriesStore:
     def gc(self) -> dict:
         """Sweep up what a crash or a corruption left; returns what went.
 
-        Removes ingest temp files (``temp_files``; an upload still streaming
-        into this root fails to finalize), name files whose blob is gone
-        (``orphan_names``) and blobs that fail verification against their
-        filename digest (``corrupted``), then re-applies the byte cap.
+        Removes the ingest temp files no writer holds (``temp_files``: a
+        crashed or abandoned upload's; one still streaming, from any store
+        object or process, keeps its lock and its file), name files whose
+        blob is gone (``orphan_names``) and blobs that fail verification
+        against their filename digest (``corrupted``), then re-applies the
+        byte cap.
         """
         corrupted = temp_files = orphan_names = 0
         with self._lock:
             for temp in self._root.glob(f"{_TEMP_PREFIX}*{_TEMP_SUFFIX}"):
-                temp_files += _unlink(temp)
+                temp_files += _unlink_unlocked(temp)
             for name_file in self._root.glob(f"blobs/*/*{_NAME_SUFFIX}"):
                 if not name_file.with_suffix(_BLOB_SUFFIX).exists():
                     orphan_names += _unlink(name_file)

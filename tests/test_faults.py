@@ -53,3 +53,46 @@ def test_failed_rename_while_adopting_a_blob_leaves_the_store_unchanged(
     digest = store.put(values, name="new")
     assert store.entry(digest)["name"] == "new"
     np.testing.assert_array_equal(store.get(digest), values)
+
+
+def test_gc_from_another_store_object_spares_a_streaming_upload(tmp_path):
+    """An upload streams through one store object while another object over
+    the same root runs ``gc``: the upload's temp file is locked, so gc
+    leaves it, and the upload then finalizes."""
+    writer = SeriesStore(tmp_path / "s")
+    values = _walk(64, seed=3)
+    ingest = writer.begin(name="streaming")
+    ingest.append_chunk(values[:40])
+    report = SeriesStore(tmp_path / "s").gc()
+    assert report["temp_files"] == 0
+    ingest.append_chunk(values[40:])
+    digest = ingest.finalize()
+    np.testing.assert_array_equal(writer.get(digest), values)
+    assert writer.entry(digest)["name"] == "streaming"
+
+
+def _abandon_upload(root: str) -> None:
+    """Start an upload and exit without finalizing or aborting it."""
+    ingest = SeriesStore(root).begin(name="crash")
+    ingest.append_chunk(_walk(64, seed=4))
+    os._exit(0)
+
+
+def test_gc_removes_the_temp_file_of_a_dead_writer(tmp_path):
+    """A writer process that dies mid-upload takes its lock with it: the
+    temp file it left is swept by the next ``gc``."""
+    import multiprocessing
+
+    root = tmp_path / "s"
+    kept = SeriesStore(root).put(_walk(16, seed=5))
+    process = multiprocessing.get_context("spawn").Process(
+        target=_abandon_upload, args=(str(root),)
+    )
+    process.start()
+    process.join(60)
+    assert process.exitcode == 0
+    assert list(root.glob(".ingest.*.tmp"))
+    store = SeriesStore(root)
+    assert store.gc()["temp_files"] == 1
+    assert not list(root.glob(".ingest.*.tmp"))
+    assert [row["digest"] for row in store.ls()] == [kept]

@@ -125,6 +125,143 @@ def test_kernels_bit_equal_partial_ranges(case):
             np.testing.assert_array_equal(result[1], reference[1], err_msg=name)
 
 
+# --------------------------------------------------------------------- #
+# argmax ties of the native row routine, on both row paths
+# --------------------------------------------------------------------- #
+def _periodic_args(period, reps, window, radius, seed=0):
+    """Sweep arguments whose rows hold the same score at several columns.
+
+    An integer pattern summing to zero, tiled: the series is its own
+    centered copy, every dot product is an exact integer (the first row by
+    ``np.dot`` per column, later rows by the recurrence), and the window
+    statistics are tiled per period, so columns one period apart score the
+    same bits.
+    """
+    pattern = np.random.default_rng(seed).integers(-3, 4, size=period).astype(np.float64)
+    pattern[-1] -= pattern.sum()
+    values = np.tile(pattern, reps)
+    count = values.size - window + 1
+    means, stds = SlidingStats(values).centered_mean_std(window)
+    means = np.resize(means[:period], count)
+    stds = np.resize(stds[:period], count)
+    first = np.array([np.dot(values[:window], values[j : j + window]) for j in range(count)])
+    return values, window, radius, means, stds, first
+
+
+def _signed_zero_args():
+    """Rows whose maximum score, 0, is reached as both +0.0 and -0.0.
+
+    The windows of ``[1, 0, -1, 0]`` have mean 0, and row ``r`` has dot
+    products 2, 0, -2, 0 at columns ``r, r+1, r+2, r+3`` (mod 4).  Column
+    stds of alternating sign (the kernels take them as given) turn those
+    into scores -2, +0.0, -2, -0.0.
+    """
+    values = np.tile([1.0, 0.0, -1.0, 0.0], 30)
+    window = 4
+    count = values.size - window + 1
+    first = np.array([np.dot(values[:window], values[j : j + window]) for j in range(count)])
+    stds = np.resize([-1.0, 1.0, 1.0, -1.0], count)
+    return values, window, 1, np.zeros(count), stds, first
+
+
+def _row_scores(args):
+    """Each row's selection scores, computed the numpy kernel's way."""
+    recorder = _IngestRecorder()
+    count = args[3].size
+    run_sweep(*args, 0, count, kernel="oracle", ingest=recorder)
+    ctx = kernels._SweepContext(*args, False)
+    scores = np.empty((count, count))
+    for offset in range(count):
+        kernels._fill_selection_row(ctx, recorder.rows[offset], offset, scores[offset])
+    return scores
+
+
+def _shows_ties(args, place) -> bool:
+    """Whether some row's maximum score sits at several columns, as ``place`` says."""
+    scores = _row_scores(args)
+    radius, count = args[2], args[3].size
+    for row, sel in enumerate(scores):
+        columns = np.flatnonzero(sel == sel.max())
+        if sel.max() == -np.inf or columns.size < 2:
+            continue
+        gap = np.diff(columns).min()
+        lo, hi = max(row - radius, 0), min(row + radius + 1, count)
+        if {
+            "one_block": gap < 16,
+            "apart": gap > 64,
+            "column_0": columns[0] == 0,
+            "zone_edges": lo - 1 in columns and hi in columns,
+            "signed_zero": np.unique(np.signbit(sel[columns])).size == 2,
+        }[place]:
+            return True
+    return False
+
+
+TIE_CASES = {
+    # name: (args factory, the tie placement the case must show, or None)
+    "one_block": (lambda: _periodic_args(8, 40, 6, 1), "one_block"),
+    "apart": (lambda: _periodic_args(70, 5, 9, 4, seed=1), "apart"),
+    "column_0": (lambda: _periodic_args(24, 12, 7, 3, seed=2), "column_0"),
+    # radius = period - 1: the matches one period away sit right outside
+    # the exclusion zone, on both sides.
+    "zone_edges": (lambda: _periodic_args(12, 20, 5, 11, seed=3), "zone_edges"),
+    "count_3": (lambda: _periodic_args(2, 2, 2, 0, seed=4), None),
+    "count_37": (lambda: _periodic_args(5, 9, 9, 2, seed=5), None),
+    "count_203": (lambda: _periodic_args(30, 7, 8, 2, seed=6), None),
+    "fully_excluded": (lambda: _periodic_args(6, 6, 4, 40, seed=7), None),
+    "mostly_excluded": (lambda: _periodic_args(10, 8, 6, 70, seed=8), None),
+    "signed_zero": (_signed_zero_args, "signed_zero"),
+}
+
+
+@pytest.fixture(params=["default", "scalar"])
+def row_path(request, tmp_path, monkeypatch):
+    """The native row routine under test: the one this machine runs, or the
+    scalar loop of a second build compiled with ``-DREPRO_SCALAR_ROWS``."""
+    if "native" not in FAST_KERNELS:
+        pytest.skip("no compiled kernel")
+    if request.param == "default":
+        yield _native.row_path()
+        return
+    monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-DREPRO_SCALAR_ROWS"))
+    monkeypatch.setenv(_native.CACHE_ENV, str(tmp_path))
+    _native.reset()
+    try:
+        assert _native.row_path() == "scalar"
+        yield "scalar"
+    finally:
+        monkeypatch.undo()
+        _native.reset()
+
+
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+def test_native_rows_break_ties_like_argmax(case, row_path):
+    """Every row's winner is the first column holding the maximum score, bit
+    for bit with numpy and the oracle: ties inside one block, blocks apart,
+    at column 0, beside both edges of the exclusion zone and between +0.0
+    and -0.0; counts below 4 and off the 4- and 64-column grids; rows that
+    are fully excluded.  Both native sweeps run: the plain segment and the
+    row blocks of the base-pass ingest."""
+    factory, place = TIE_CASES[case]
+    args = factory()
+    count = args[3].size
+    assert np.all(args[4] != 0.0)  # no constant window: every row is common-case
+    if place is not None:
+        assert _shows_ties(args, place), place
+    for reseed in (None, 5):
+        expected = run_sweep(*args, 0, count, kernel="oracle", reseed_interval=reseed)
+        numpy_result = run_sweep(*args, 0, count, kernel="numpy", reseed_interval=reseed)
+        plain = run_sweep(*args, 0, count, kernel="native", reseed_interval=reseed)
+        blocks = run_sweep(
+            *args, 0, count, kernel="native", reseed_interval=reseed, ingest=_IngestRecorder()
+        )
+        for got, label in ((numpy_result, "numpy"), (plain, "native"), (blocks, "native rows")):
+            np.testing.assert_array_equal(got[0], expected[0], err_msg=f"{label} {row_path}")
+            np.testing.assert_array_equal(got[1], expected[1], err_msg=f"{label} {row_path}")
+    if case == "fully_excluded":
+        assert np.all(expected[1] == -1)
+
+
 @pytest.mark.parametrize("case", sorted(SERIES_CASES))
 def test_prepared_sweep_runs_equal_fresh_sweeps(case):
     """One PreparedSweep sweeping many short runs (VALMOD's recomputes)

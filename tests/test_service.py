@@ -23,6 +23,8 @@ from repro.api.requests import AnalysisRequest
 from repro.cli import main as cli_main
 from repro.exceptions import InvalidParameterError, ServiceError
 from repro.harness.runner import compare_algorithms
+from repro.matrix_profile import _native
+from repro.matrix_profile.kernels import KERNEL_ENV, resolve_kernel
 from repro.service import (
     BackgroundService,
     ServiceClient,
@@ -59,6 +61,25 @@ class TestProtocol:
         health = client.health()
         assert health["status"] == "ok"
         assert health["workers"] == 1 and health["backlog"] == 32
+        assert health["kernel"] == resolve_kernel(None)
+        if _native.available():
+            assert health["native_rows"] in ("avx2", "vector", "scalar")
+            assert health["native_unavailable"] is None
+
+    def test_health_without_the_native_kernel(self, monkeypatch):
+        """``REPRO_NO_NATIVE=1``: numpy is in effect, and /health says why."""
+        monkeypatch.setenv(_native.DISABLE_ENV, "1")
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        _native.reset()
+        try:
+            with BackgroundService(ServiceConfig(port=0, workers=1)) as background:
+                health = ServiceClient(port=background.port).health()
+        finally:
+            monkeypatch.undo()
+            _native.reset()
+        assert health["kernel"] == "numpy"
+        assert health["native_rows"] is None
+        assert _native.DISABLE_ENV in health["native_unavailable"]
 
     def test_capabilities_mirror_the_registry(self, client):
         listed = {(entry["kind"], entry["key"]) for entry in client.capabilities()}

@@ -7,7 +7,8 @@ and its distances within 1e-8 (1e-5 at offset 1e6, the pin
 ``tests/test_stomp_centered.py`` documents for that offset; see
 :func:`_assert_matches_brute_force` for ties below that pin).  The shapes
 cover the numerically awkward cases: an exactly flat run longer than the
-longest window (constant subsequences), a level shift, and a large offset.
+longest window (constant subsequences), a level shift, a large offset, and
+a flat run at that offset.
 """
 
 from __future__ import annotations
@@ -22,20 +23,20 @@ from repro.core.valmod import valmod
 from repro.matrix_profile.kernels import available_kernels
 from repro.stats.distance import znorm_euclidean
 
-SHAPES = ("walk", "flat", "shift", "offset")
+SHAPES = ("walk", "flat", "shift", "offset", "flat_offset")
 OFFSET = 1e6
 
 
 def _series(seed: int, size: int, shape: str, max_length: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     values = np.cumsum(rng.standard_normal(size))
-    if shape == "flat":
+    if shape in ("flat", "flat_offset"):
         run = int(rng.integers(max_length + 1, 2 * max_length + 1))
         start = int(rng.integers(0, size - run + 1))
         values[start : start + run] = values[start]
     elif shape == "shift":
         values[int(rng.integers(1, size)) :] += rng.choice([-1.0, 1.0]) * rng.uniform(5, 50)
-    elif shape == "offset":
+    if shape in ("offset", "flat_offset"):
         values += OFFSET
     return values
 
@@ -93,7 +94,7 @@ def test_valmod_matches_brute_force(case):
         case["min_length"],
         case["max_length"],
         case["top_k"],
-        offset=case["shape"] == "offset",
+        offset=case["shape"] in ("offset", "flat_offset"),
         profile_capacity=case["profile_capacity"],
         kernel=case["kernel"],
         engine=case["engine"],
@@ -114,11 +115,6 @@ def test_flat_run_windows_are_constant(kernel):
     _assert_matches_brute_force(values, 16, 24, 3, offset=False, kernel=kernel)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a flat run at offset 1e6 loses precision in the prefix-sum window "
-    "statistics (CHANGES.md, FOUND line on flat runs at a large offset)",
-)
 def test_flat_run_at_large_offset():
     rng = np.random.default_rng(61)
     values = np.cumsum(rng.standard_normal(160))
