@@ -398,8 +398,8 @@ def test_kernel_speedup_floor(kernel):
         warnings.warn(message + " (set ENGINE_SPEEDUP_STRICT=1 to enforce)")
 
 
-#: Floor of the native kernel over the numpy kernel when the native row
-#: routine is vectorised (the scalar loop is not held to it).
+#: Floor of the native kernel over the numpy kernel when the native rows
+#: run the AVX2 routine (the scalar loop is not held to it).
 _NATIVE_OVER_NUMPY_FLOOR = 3.0
 
 
@@ -411,8 +411,8 @@ def test_native_speedup_over_numpy_floor():
     if "native" not in FAST_KERNELS:
         _loud_skip("native kernel unavailable (no C compiler or disabled)")
     row_path = _native.row_path()
-    if row_path not in ("avx2", "vector"):
-        _loud_skip(f"native rows run the {row_path} loop, not a vector routine")
+    if row_path != "avx2":
+        _loud_skip(f"native rows run the {row_path} loop, not the AVX2 routine")
     _kernel_round_speedups()
     speedup = statistics.median(_ROUND_NATIVE_OVER_NUMPY)
     message = (

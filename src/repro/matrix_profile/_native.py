@@ -26,11 +26,12 @@ the kernel is pinned bit-for-bit against the numpy kernel, and both FMA
 contraction of the recurrence and (worse) of Dekker's ``two_product``
 would silently change results.  No ``-ffast-math`` for the same reason.
 
-The common-case STOMP row runs four columns per instruction
-(:func:`row_path`).  On x86-64 that routine alone is compiled for AVX2,
-through a ``target("avx2")`` attribute on its functions, and the kernel
-takes it only where ``__builtin_cpu_supports("avx2")`` says the CPU has
-it; everything else in the file keeps the baseline instruction set.  The
+The common-case STOMP row runs four columns per instruction on x86-64
+CPUs with AVX2 (:func:`row_path`), and the scalar loop everywhere else.
+That routine alone is compiled for AVX2, through a ``target("avx2")``
+attribute on its functions, and the kernel takes it only where
+``__builtin_cpu_supports("avx2")`` says the CPU has it; everything else
+in the file keeps the baseline instruction set.  The
 flags stay as they are, with no ``-march=native``, ``-mavx2`` or ``-O3``:
 compiling the whole file with ``-march=native`` or ``-mavx2`` made the
 scalar row loop 2.3-2.4x slower (1.75 → 4.0-4.3 ns per column on a 2-vCPU
@@ -271,15 +272,14 @@ def unavailable_reason() -> "str | None":
 
 
 #: ``repro_row_path()`` codes, in the C kernel's order.
-_ROW_PATHS = ("scalar", "avx2", "vector")
+_ROW_PATHS = ("scalar", "avx2")
 
 
 def row_path() -> "str | None":
     """The compiled kernel's common-case row routine, or ``None`` without one.
 
-    ``"avx2"`` (x86-64 with AVX2), ``"vector"`` (compiler vector extensions
-    for another architecture's vector unit) or ``"scalar"`` (the one-column
-    loop: x86-64 without AVX2, or a build without vector extensions).
+    ``"avx2"`` (x86-64 with AVX2) or ``"scalar"`` (the one-column loop:
+    every other CPU and architecture).
     """
     lib = load()
     return None if lib is None else _ROW_PATHS[lib.repro_row_path()]

@@ -25,13 +25,14 @@
  *  - selection scores of constant columns/rows are injected exactly like
  *    the numpy kernel does (0.5*m*sigma_i, 1.0/0.5), never computed.
  *
- * The row routine is chosen once per process (repro_row_path): four
- * columns per instruction through GCC/Clang vector extensions -- compiled
- * for AVX2 by a per-function target attribute on x86-64 and run only
- * where the CPU has it, for the CPU's own vector unit elsewhere -- and
- * the scalar fused loop otherwise.  No fma in the target: it would change
- * roundings.  Building with -DREPRO_SCALAR_ROWS keeps the scalar loop
- * everywhere (the test suite pins both paths against each other).
+ * The row routine is chosen once per process (repro_row_path): on x86-64
+ * CPUs with AVX2, four columns per instruction through GCC/Clang vector
+ * extensions compiled for AVX2 by a per-function target attribute; the
+ * scalar fused loop everywhere else (the same vector code built for
+ * 128-bit SSE2 was slower than the scalar loop, and other architectures
+ * are unmeasured).  No fma in the target: it would change roundings.
+ * Building with -DREPRO_SCALAR_ROWS keeps the scalar loop everywhere (the
+ * test suite pins both paths against each other).
  *
  * The entry points are loaded via ctypes (see _native.py); they hold no
  * state and release the GIL for the whole segment by construction.
@@ -119,7 +120,6 @@ typedef struct {
 
 #define ROW_SCALAR 0
 #define ROW_AVX2 1
-#define ROW_VECTOR 2
 
 /* The scalar fused loop: descending, '>=' keeps the smallest index.  The
  * arguments are copied to locals, which the stores into qt cannot alias. */
@@ -153,13 +153,9 @@ static void scalar_row(const row_args *r, double *qt, i64 *best_out,
     *best_sel_out = best_sel;
 }
 
-#if !defined(REPRO_SCALAR_ROWS) && defined(__GNUC__)
+#if !defined(REPRO_SCALAR_ROWS) && defined(__GNUC__) && defined(__x86_64__)
 #define HAVE_VECTOR_ROWS 1
-#if defined(__x86_64__) || defined(__i386__)
 #define ROW_TARGET __attribute__((target("avx2")))
-#else
-#define ROW_TARGET
-#endif
 
 typedef double v4d __attribute__((vector_size(32)));
 typedef long long v4i __attribute__((vector_size(32)));
@@ -274,16 +270,14 @@ ROW_TARGET static void vector_row(const row_args *r, double *qt, i64 *best,
 }
 #endif
 
-/* Which row routine this process runs: ROW_AVX2, ROW_VECTOR or
- * ROW_SCALAR, decided on the first call. */
+/* Which row routine this process runs: ROW_AVX2 or ROW_SCALAR, decided
+ * on the first call. */
 static int row_path(void) {
     static int path = -1;
     if (path < 0) {
-#if defined(HAVE_VECTOR_ROWS) && (defined(__x86_64__) || defined(__i386__))
+#ifdef HAVE_VECTOR_ROWS
         __builtin_cpu_init();
         path = __builtin_cpu_supports("avx2") ? ROW_AVX2 : ROW_SCALAR;
-#elif defined(HAVE_VECTOR_ROWS)
-        path = ROW_VECTOR;
 #else
         path = ROW_SCALAR;
 #endif
@@ -295,7 +289,7 @@ int repro_row_path(void) { return row_path(); }
 
 static void sweep_row(const row_args *r, double *qt, i64 *best, double *best_sel) {
 #ifdef HAVE_VECTOR_ROWS
-    if (row_path() != ROW_SCALAR) {
+    if (row_path() == ROW_AVX2) {
         vector_row(r, qt, best, best_sel);
         return;
     }

@@ -37,14 +37,14 @@ one window keep and reuse):
     system C compiler and loaded through :mod:`ctypes`
     (:mod:`repro.matrix_profile._native`).  Its common-case row (every row
     after a segment's seed, unless a window is constant) advances, scores
-    and reduces four columns per instruction in one pass — AVX2 on x86-64
-    CPUs that have it, the compiler's vector extensions elsewhere, the
-    one-column loop otherwise (:func:`~repro.matrix_profile._native.row_path`
-    names the one in use) — for the self-join sweep, the base pass's row
-    blocks and the AB-join alike.  It also carries VALMOD's
-    partial-profile store: the base-pass sweep hands its rows to the
-    store block by block and the store retains them in C, and the store's
-    per-length advance and evaluation run in C too.  Optional: when no
+    and reduces four columns per instruction in one pass on x86-64 CPUs
+    with AVX2, and one column at a time everywhere else
+    (:func:`~repro.matrix_profile._native.row_path` names the one in use),
+    for the self-join sweep, the base pass's row blocks and the AB-join
+    alike.  It also carries VALMOD's partial-profile store: the base-pass
+    sweep hands its rows to the store block by block and the store
+    retains them in C, and the store's per-length advance and evaluation
+    run in C too.  Optional: when no
     compiler is available (or ``REPRO_NO_NATIVE=1``), requests for it fall
     back to ``"numpy"`` with a one-time :class:`RuntimeWarning`.
 

@@ -68,8 +68,8 @@ Protocol
 --------
 ======================= ==================================================
 ``GET /health``         liveness + queue depth, the sweep kernel in effect,
-                        the native row routine (``avx2`` / ``vector`` /
-                        ``scalar``) or why no native kernel loaded
+                        the native row routine (``avx2`` / ``scalar``)
+                        or why no native kernel loaded
 ``GET /capabilities``   the algorithm registry's capability table
 ``GET /stats``          counters, completion order, per-session cache info,
                         latency summaries

@@ -214,8 +214,15 @@ TIE_CASES = {
 }
 
 
+@pytest.fixture(scope="module")
+def _scalar_rows_cache(tmp_path_factory):
+    """One build cache for the ``-DREPRO_SCALAR_ROWS`` kernel: every case
+    after the first loads the library the first one compiled."""
+    return tmp_path_factory.mktemp("scalar_rows")
+
+
 @pytest.fixture(params=["default", "scalar"])
-def row_path(request, tmp_path, monkeypatch):
+def row_path(request, monkeypatch, _scalar_rows_cache):
     """The native row routine under test: the one this machine runs, or the
     scalar loop of a second build compiled with ``-DREPRO_SCALAR_ROWS``."""
     if "native" not in FAST_KERNELS:
@@ -224,7 +231,7 @@ def row_path(request, tmp_path, monkeypatch):
         yield _native.row_path()
         return
     monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-DREPRO_SCALAR_ROWS"))
-    monkeypatch.setenv(_native.CACHE_ENV, str(tmp_path))
+    monkeypatch.setenv(_native.CACHE_ENV, str(_scalar_rows_cache))
     _native.reset()
     try:
         assert _native.row_path() == "scalar"

@@ -63,7 +63,7 @@ class TestProtocol:
         assert health["workers"] == 1 and health["backlog"] == 32
         assert health["kernel"] == resolve_kernel(None)
         if _native.available():
-            assert health["native_rows"] in ("avx2", "vector", "scalar")
+            assert health["native_rows"] in ("avx2", "scalar")
             assert health["native_unavailable"] is None
 
     def test_health_without_the_native_kernel(self, monkeypatch):
