@@ -25,7 +25,11 @@ didn't check anything is visible in the log.  The same rounds also time
 the native kernel against the numpy kernel — two fast kernels, the same
 rows, the same process, so the ratio does not inherit the oracle's drift
 with the process's history — and gate it where the native row routine is
-vectorised (:func:`repro.matrix_profile._native.row_path`).
+vectorised (:func:`repro.matrix_profile._native.row_path`).  Rounds of the
+same kind time VALMOD's native base pass (STOMP that retains each row's top
+``p`` into a :class:`~repro.core.partial_profile.PartialProfileStore`)
+against a plain native STOMP pass over the same series, with an advisory
+ceiling on their ratio at the largest size.
 """
 
 from __future__ import annotations
@@ -83,6 +87,15 @@ _ROUND_SPEEDUPS: dict[str, list[float]] = {}
 #: Numpy-kernel time over native-kernel time, one entry per round of
 #: :func:`_kernel_round_speedups` (empty without a native build).
 _ROUND_NATIVE_OVER_NUMPY: list[float] = []
+
+#: Series lengths of the base-pass rounds, and the advisory ceiling on the
+#: native base pass over a plain native STOMP pass at the largest.
+BASE_PASS_SIZES = (2048, 16384)
+BASE_PASS_CEILING = 1.5
+
+#: Per size: seconds of each round's plain pass and base pass, filled once
+#: by :func:`_base_pass_rounds`.
+_BASE_PASS_ROUNDS: dict[int, dict[str, list[float]]] = {}
 
 
 def _loud_skip(reason: str) -> None:
@@ -156,6 +169,23 @@ def _flush_results() -> None:
         }
     elif "valmod_base_pass_ingest" in existing:
         payload["valmod_base_pass_ingest"] = existing["valmod_base_pass_ingest"]
+    if _BASE_PASS_ROUNDS:
+        payload["native_base_pass_vs_stomp"] = {
+            "window": WINDOW,
+            "capacity": VALMOD_CAPACITY,
+            "rounds": KERNEL_ROUNDS,
+            "ceiling": BASE_PASS_CEILING,
+            "sizes": {
+                str(n): {
+                    "stomp_median_seconds": statistics.median(times["stomp"]),
+                    "base_pass_median_seconds": statistics.median(times["base_pass"]),
+                    "ratio": _base_pass_ratio(n),
+                }
+                for n, times in sorted(_BASE_PASS_ROUNDS.items())
+            },
+        }
+    elif "native_base_pass_vs_stomp" in existing:
+        payload["native_base_pass_vs_stomp"] = existing["native_base_pass_vs_stomp"]
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -423,6 +453,65 @@ def test_native_speedup_over_numpy_floor():
     if os.environ.get("ENGINE_SPEEDUP_STRICT") == "1":
         assert speedup >= _NATIVE_OVER_NUMPY_FLOOR, message
     elif speedup < _NATIVE_OVER_NUMPY_FLOOR:
+        import warnings
+
+        warnings.warn(message + " (set ENGINE_SPEEDUP_STRICT=1 to enforce)")
+
+
+def _base_pass_rounds() -> dict[int, dict[str, list[float]]]:
+    """Seconds of a plain native STOMP pass and of the native base pass
+    over the same series, ``KERNEL_ROUNDS`` rounds at each of
+    :data:`BASE_PASS_SIZES`, the two back to back in every round so a
+    drift in machine speed reaches both sides of a round's ratio alike.
+    The base pass is the ``stomp(ingest_store=)`` call VALMOD makes, into
+    a fresh store of capacity ``VALMOD_CAPACITY``."""
+    if not _BASE_PASS_ROUNDS:
+        for n in BASE_PASS_SIZES:
+            values = _series(n)
+            stats = SlidingStats(values)
+            times: dict[str, list[float]] = {"stomp": [], "base_pass": []}
+            for _ in range(KERNEL_ROUNDS):
+                started = time.perf_counter()
+                stomp(values, WINDOW, stats=stats, kernel="native")
+                times["stomp"].append(time.perf_counter() - started)
+                store = PartialProfileStore(values, stats, WINDOW, VALMOD_CAPACITY)
+                started = time.perf_counter()
+                stomp(values, WINDOW, stats=stats, ingest_store=store, kernel="native")
+                times["base_pass"].append(time.perf_counter() - started)
+            _BASE_PASS_ROUNDS[n] = times
+        _flush_results()
+    return _BASE_PASS_ROUNDS
+
+
+def _base_pass_ratio(n: int) -> float:
+    """Median over the rounds of base-pass time over plain STOMP time."""
+    times = _BASE_PASS_ROUNDS[n]
+    return statistics.median(
+        base / plain for base, plain in zip(times["base_pass"], times["stomp"])
+    )
+
+
+def test_native_base_pass_within_ceiling_of_plain_stomp():
+    """VALMOD's native base pass costs at most :data:`BASE_PASS_CEILING`
+    times a plain native STOMP pass at the largest of
+    :data:`BASE_PASS_SIZES` (window ``WINDOW``, ``p`` = ``VALMOD_CAPACITY``),
+    on the median of interleaved same-process rounds; every size's medians
+    and ratio land in ``BENCH_engine_scaling.json``.  Advisory like the
+    other gates (``ENGINE_SPEEDUP_STRICT=1`` enforces); skipped loudly
+    without a native build."""
+    if "native" not in FAST_KERNELS:
+        _loud_skip("native kernel unavailable (no C compiler or disabled)")
+    _base_pass_rounds()
+    n = BASE_PASS_SIZES[-1]
+    ratio = _base_pass_ratio(n)
+    message = (
+        f"native base pass {ratio:.2f}x a plain native STOMP pass at n={n} "
+        f"(median of {KERNEL_ROUNDS} interleaved rounds), above the "
+        f"{BASE_PASS_CEILING:g}x ceiling"
+    )
+    if os.environ.get("ENGINE_SPEEDUP_STRICT") == "1":
+        assert ratio <= BASE_PASS_CEILING, message
+    elif ratio > BASE_PASS_CEILING:
         import warnings
 
         warnings.warn(message + " (set ENGINE_SPEEDUP_STRICT=1 to enforce)")

@@ -21,12 +21,22 @@ the trivial-match zone) in the order *base correlation descending, offset
 ascending*, and stores them in that order.  Ties are therefore decided by
 offset, never by a sort implementation: a run of constant neighbours (all
 pinned at correlation ``1.0``) longer than ``p`` keeps its ``p`` lowest
-offsets.  :meth:`PartialProfileStore.ingest_centered_profile` implements the
-rule in numpy for one row (``argpartition`` finds the threshold, ties at it
-go to the lowest offsets) and in C for the blocks of rows the native sweep
-hands over (``repro_store_ingest`` in ``_stomp_kernel.c``).  Both compute
-the correlations with the same operations, so the oracle, numpy and native
-kernels build the same store bit for bit.
+offsets.  The candidates not kept set the row's ceiling, their largest
+correlation.  :meth:`PartialProfileStore.ingest_centered_profile`
+implements the rule in numpy for one row of dot products (``argpartition``
+finds the threshold, ties at it go to the lowest offsets), which the
+oracle and numpy kernels hand over.  The native base pass applies it in C
+right after each row is swept (``repro_stomp_retain_segment`` in
+``_stomp_kernel.c``), with this store's own statistics, zone and
+compensation decision (:meth:`PartialProfileStore.retention_inputs`), and
+hands over compact blocks of retained rows, which the store checks and
+copies.  The C pass seeds each row with the previous row's neighbours and
+then skips every candidate it can prove lies below the row's
+``(p+1)``-th largest correlation: such a candidate is neither kept nor
+the ceiling, so skipping it changes nothing (the proof, margin included,
+is in ``_stomp_kernel.c``).  Both paths compute the correlations with the
+same operations, so the oracle, numpy and native kernels build the same
+store bit for bit.
 
 Kernels
 -------
@@ -77,8 +87,8 @@ Terminology (Figure 2 of the paper):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -368,7 +378,37 @@ class PartialProfileStore:
                 "ingest_store was already advanced past its base length"
             )
 
-    def ingest_centered_profile(self, offset: int, dot_products: np.ndarray) -> None:
+    def retention_inputs(self, count: int) -> tuple:
+        """What the native base pass retains rows of ``count`` dot products
+        with: ``(base_length, base_means, base_stds, radius, compensated,
+        capacity)``, the store's own statistics, zone and compensation
+        decision (``repro_stomp_retain_segment`` in ``_stomp_kernel.c``)."""
+        if count != self._num_profiles:
+            raise InvalidParameterError(
+                f"expected {self._num_profiles} dot products, got {count}"
+            )
+        return (
+            self._base_length,
+            self._base_means,
+            self._base_stds,
+            self._base_radius,
+            1 if self._base_compensated else 0,
+            self._capacity,
+        )
+
+    def retention_block(self, rows: int) -> dict:
+        """An empty block for ``rows`` retained rows, which the native base
+        pass fills and hands back to :meth:`ingest_centered_profile`: one
+        array per :data:`_STATE_FIELDS` entry, in that order."""
+        block = {}
+        for field in _STATE_FIELDS:
+            array = getattr(self, f"_{field}")
+            block[field] = np.empty((rows, *array.shape[1:]), dtype=array.dtype)
+        return block
+
+    def ingest_centered_profile(
+        self, offset: int, dot_products: "np.ndarray | Mapping"
+    ) -> None:
         """Retain the most promising entries of one base distance profile.
 
         Called once per query offset with the sliding dot products of that
@@ -377,14 +417,14 @@ class PartialProfileStore:
         the engine blocks run in).  Which entries stay is the retention rule
         of the module docstring.
 
-        A 2-D ``dot_products`` is a block of consecutive profiles, row ``k``
-        belonging to offset ``offset + k`` — what the native sweep hands
-        over.  A block is retained in C (``repro_store_ingest``) when the
-        compiled kernel is loaded and row by row here otherwise; both give
-        the same store bit for bit.
+        A mapping instead of an array is a block of rows the native base
+        pass already retained in C, row ``k`` belonging to offset
+        ``offset + k``: the :data:`_STATE_FIELDS` arrays, ``capacity``
+        entries per row.  The store checks the rows are its own and not
+        yet ingested, then copies them.
         """
-        if np.ndim(dot_products) == 2:
-            self._ingest_block(int(offset), np.asarray(dot_products, dtype=np.float64))
+        if isinstance(dot_products, Mapping):
+            self._ingest_block(int(offset), dot_products)
             return
         if not self._row_start <= offset < self._row_stop:
             raise InvalidParameterError(
@@ -470,53 +510,23 @@ class PartialProfileStore:
         self._base_correlations[row, :count] = correlations[kept]
         self._populated[row] = True
 
-    def _ingest_block(self, offset: int, rows: np.ndarray) -> None:
-        """:meth:`ingest_centered_profile` of rows ``offset, offset + 1, ...``."""
-        stop = offset + rows.shape[0]
+    def _ingest_block(self, offset: int, block: Mapping) -> None:
+        """:meth:`ingest_centered_profile` of retained rows ``offset, offset + 1, ...``."""
+        stop = offset + len(block["populated"])
         if offset < self._row_start or stop > self._row_stop:
             outside = offset if offset < self._row_start else max(offset, self._row_stop)
             raise InvalidParameterError(
                 f"profile {outside} is outside this store's row range "
                 f"[{self._row_start}, {self._row_stop})"
             )
-        ingested = np.flatnonzero(
-            self._populated[offset - self._row_start : stop - self._row_start]
-        )
+        local = slice(offset - self._row_start, stop - self._row_start)
+        ingested = np.flatnonzero(self._populated[local])
         if ingested.size:
             raise InvalidParameterError(
                 f"profile {offset + int(ingested[0])} was already ingested"
             )
-        if rows.shape[1] != self._num_profiles:
-            raise InvalidParameterError(
-                f"expected {self._num_profiles} dot products, got {rows.shape[1]}"
-            )
-        lib = _native.load()
-        if lib is None:
-            for k, row in enumerate(rows):
-                self.ingest_centered_profile(offset + k, row)
-            return
-        lib.repro_store_ingest(
-            np.ascontiguousarray(rows),
-            rows.shape[0],
-            rows.shape[1],
-            offset,
-            self._base_length,
-            self._base_means,
-            self._base_stds,
-            self._base_radius,
-            1 if self._base_compensated else 0,
-            self._capacity,
-            self._row_start,
-            self._neighbors,
-            self._dot_products,
-            self._base_correlations,
-            self._pruned_correlation_ceiling,
-            self._complete,
-            self._unbounded,
-            self._populated,
-            np.empty(self._capacity, dtype=np.float64),
-            np.empty(self._capacity, dtype=np.int64),
-        )
+        for field in _STATE_FIELDS:
+            getattr(self, f"_{field}")[local] = block[field]
 
     # ------------------------------------------------------------------ #
     # fragments: split / export / merge

@@ -27,9 +27,10 @@ contraction of the recurrence and (worse) of Dekker's ``two_product``
 would silently change results.  No ``-ffast-math`` for the same reason.
 
 The common-case STOMP row runs four columns per instruction on x86-64
-CPUs with AVX2 (:func:`row_path`), and the scalar loop everywhere else.
-That routine alone is compiled for AVX2, through a ``target("avx2")``
-attribute on its functions, and the kernel takes it only where
+CPUs with AVX2 (:func:`row_path`), and the scalar loop everywhere else;
+so does the base-pass retention's prefilter.  Those two routines alone are
+compiled for AVX2, through a ``target("avx2")`` attribute on their
+functions, and the kernel takes them only where
 ``__builtin_cpu_supports("avx2")`` says the CPU has it; everything else
 in the file keeps the baseline instruction set.  The
 flags stay as they are, with no ``-march=native``, ``-mavx2`` or ``-O3``:
@@ -154,32 +155,25 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_index_arr,  # indices (in/out)
     ]
     c_flag_arr = ndpointer(np.bool_, flags="C_CONTIGUOUS")
-    lib.repro_stomp_rows_segment.restype = None
-    lib.repro_stomp_rows_segment.argtypes = [
+    lib.repro_stomp_retain_segment.restype = None
+    lib.repro_stomp_retain_segment.argtypes = [
         *lib.repro_stomp_segment.argtypes,
         i64,  # seed (the segment's seed row)
-        c_double_arr,  # rows (stop - start, count; out)
-    ]
-    lib.repro_store_ingest.restype = None
-    lib.repro_store_ingest.argtypes = [
-        c_double_arr,  # rows (num_rows, count)
-        i64,  # num_rows
-        i64,  # count
-        i64,  # first (offset of rows[0])
         i64,  # store base length
         c_double_arr,  # store base means (centered)
         c_double_arr,  # store base stds
         i64,  # store trivial-match radius
         ctypes.c_int,  # store compensated
         i64,  # capacity
-        i64,  # row_start
-        c_index_arr,  # neighbors (rows, capacity)
-        c_double_arr,  # dot_products (rows, capacity)
-        c_double_arr,  # base_correlations (rows, capacity)
-        c_double_arr,  # pruned_correlation_ceiling (rows)
-        c_flag_arr,  # complete (rows)
-        c_flag_arr,  # unbounded (rows)
-        c_flag_arr,  # populated (rows)
+        c_index_arr,  # neighbors (rows, capacity; out)
+        c_double_arr,  # dot_products (rows, capacity; out)
+        c_double_arr,  # base_correlations (rows, capacity; out)
+        c_double_arr,  # pruned_correlation_ceiling (rows; out)
+        c_flag_arr,  # complete (rows; out)
+        c_flag_arr,  # unbounded (rows; out)
+        c_flag_arr,  # populated (rows; out)
+        c_index_arr,  # prev (capacity; in/out)
+        ndpointer(np.uint8, flags="C_CONTIGUOUS"),  # marks scratch (count, zero)
         c_double_arr,  # heap_corr scratch (capacity)
         c_index_arr,  # heap_off scratch (capacity)
     ]

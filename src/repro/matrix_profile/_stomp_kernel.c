@@ -37,9 +37,10 @@
  * The entry points are loaded via ctypes (see _native.py); they hold no
  * state and release the GIL for the whole segment by construction.
  * Further down, under the same rules: the AB-join and SCRIMP entries, and
- * VALMOD's partial-profile store (a sweep that hands its rows to the
- * base-pass ingest, the ingest itself, the per-length advance and the
- * per-row minimum).
+ * VALMOD's partial-profile store: the base pass (the sweep above, plus a
+ * retention pass after each row that keeps the row's top p entries in a
+ * compact rows x p block the store copies in; see the exactness argument
+ * before retain_begin), the per-length advance and the per-row minimum.
  */
 
 #include <math.h>
@@ -539,170 +540,389 @@ static void heap_sift_up(double *corr, i64 *off, i64 pos) {
     }
 }
 
-/* Scalar transcription of PartialProfileStore.ingest_centered_profile for
- * one row: base correlations through the centered_dot_products arithmetic
- * (Dekker-compensated when the store decided so), constant neighbours
- * pinned at 1.0, clip to [-1, 1], then the retention rule of the module
- * docstring -- the first `capacity` candidates in (correlation
- * descending, offset ascending) order, stored in that order.  The
- * candidates stream through a heap of the best `capacity` so far
- * (heap_corr / heap_off are capacity-sized caller scratch); `ceiling`
- * tracks the largest correlation turned away or pushed out, which never
- * exceeds the heap root's, so a candidate below it changes nothing.  The
- * row's output pointers are already offset to the row. */
-static void retain_row(const double *qt, i64 count, i64 off, i64 length,
-                       const double *means, const double *stds, i64 radius,
-                       int compensated, i64 capacity, double *heap_corr,
-                       i64 *heap_off, i64 *neighbors, double *dots,
-                       double *corrs, double *ceiling_out,
-                       unsigned char *complete, unsigned char *unbounded,
-                       unsigned char *populated) {
-    double length_d = (double)length;
-    double sigma_i = stds[off];
-    double mu_i, coeff, coeff_err = 0.0, denom_i;
-    double ceiling = -INFINITY, root_corr = -INFINITY;
-    i64 lo, hi, j, k, size = 0, root_off = -1;
-    i64 candidates, constant_candidates = 0, constant_kept = 0;
-    int part;
-    *populated = 1;
+/* The base-pass retention: PartialProfileStore.ingest_centered_profile
+ * for one row, taken straight from the swept qt row.
+ *
+ * The rule (the store's module docstring): row i keeps the first
+ * `capacity` = p of its candidates -- every offset j outside the store's
+ * trivial-match zone -- in (correlation descending, offset ascending)
+ * order, and records the ceiling, the largest correlation among the rest.
+ * A candidate's correlation is the centered_dot_products arithmetic
+ * (Dekker-compensated when the store decided so), divided by
+ * (L*sigma_i)*sigma_j, clipped to [-1, 1]; a constant neighbour is pinned
+ * at 1.0.  Candidates stream through a min-heap of the best p so far
+ * (heap_corr / heap_off); `ceiling` tracks the largest correlation turned
+ * away or pushed out, which never exceeds the heap root's, so a candidate
+ * below it changes nothing.
+ *
+ * Why a row may skip most candidates and still come out bit for bit:
+ *
+ *  1. The result depends only on the candidate set.  Correlations are
+ *     never NaN (a finite series whose products stay finite), so the rule
+ *     orders the candidates totally: the kept entries are the top p, the
+ *     ceiling is the largest correlation among the rest, and neither
+ *     depends on the visiting order.  Skipping a candidate that can be
+ *     neither kept nor the ceiling cannot change a byte either.
+ *  2. Let kappa be the row's (p+1)-th largest correlation.  A candidate
+ *     below kappa is neither kept (the top p all reach kappa) nor the
+ *     ceiling (the (p+1)-th candidate has exactly kappa and is not kept).
+ *     Any c such that p+1 *distinct* candidates have correlations >= c
+ *     satisfies c <= kappa, so a candidate whose correlation is < c can be
+ *     skipped.  One whose correlation == c must still be visited: an
+ *     offset tie at the ceiling decides membership.
+ *  3. The running ceiling is such a c: whatever set it ranks below the p
+ *     heap entries.  To make it high from the start, the row first pushes
+ *     its seeds, the previous row's retained neighbours each shifted by 0
+ *     and +1 (the diagonal continuation of QT[i-1, j]), dropping
+ *     duplicates, zone members and columns past the end.  They go through
+ *     this rule's own arithmetic and heap, so afterwards the ceiling is
+ *     the floor: the (p+1)-th largest seed correlation, or -inf with fewer
+ *     than p+1 seeds.  A seed counted twice would make it the p-th.
+ *  4. The prefilter then visits a candidate only when it may reach
+ *     thr = the running ceiling.  With den = L*sigma_i (rounded, as the
+ *     rule has it), d = fl(thr - 2^-40) and lim = fl(d*den), it skips j
+ *     when num < fl(lim*sigma_j), num = fl(qt[j] - fl(coeff*mu_j)).  num
+ *     is bit for bit the rule's own numerator (same operands and
+ *     operations, uncompensated store), so only the divisor needs a
+ *     margin.  Let u = 2^-53 and every product be a normal double.  The
+ *     rule's divisor is D = fl(den*sigma_j) = den*sigma_j*(1+e3) and the
+ *     bound is R = fl(lim*sigma_j) = d*den*sigma_j*(1+e1)(1+e2), |e| <= u,
+ *     so R/D <= d + 4u|d|.  As thr is in (-1, 1], d <= thr - 2^-40 + 2u
+ *     and |d| < 2, so num < R and D > 0 give
+ *         num/D < thr - 2^-40 + 10u < thr - 2u|thr| - 2^-41,
+ *     which lies below pred(thr), the double just under thr (thr -
+ *     pred(thr) is at most 2u|thr| for a normal thr and 2^-1074 for any
+ *     other).  Rounding is monotone, so fl(num/D) <= pred(thr) < thr, and
+ *     clipping keeps it below thr because thr > -1.  A skipped candidate
+ *     is below thr, hence below kappa.  A threshold of -1 or less skips
+ *     nothing: the clip lifts everything to -1.  Without the margin, a
+ *     candidate tied with the ceiling can round below it and be lost
+ *     (the "ceiling_ties" case of tests/test_kernels.py).
+ *  5. Rows the prefilter cannot serve keep the exact loop over every
+ *     candidate, on the swept row itself: stores that are compensated
+ *     (the numerator is no longer the plain one) or that hold a constant
+ *     window anywhere (a constant neighbour is pinned at 1.0), constant
+ *     queries (which retain nothing) and a segment's seed row (no
+ *     previous row).
+ *
+ * The prefilter skips sixteen columns per step where row_path() is "avx2"
+ * and tests one at a time elsewhere; which candidates it visits does not
+ * matter (point 1), so both give the same bytes.  On a 2048-point ECG at
+ * L = 100 with p = 16, a row pushes 23 seeds and 1.2 more candidates on
+ * average, where the exact loop pushes all ~1,900 (white noise: 32 and
+ * 10). */
+
+/* The store's retention inputs. */
+typedef struct {
+    const double *means, *stds;
+    i64 length, radius, capacity;
+    int compensated;
+} store_args;
+
+/* The compact block a base pass hands to the store: row r holds one
+ * query's retained neighbours, dot products and base correlations
+ * (capacity entries each, best first, then -1 / 0.0 / -inf), its ceiling
+ * and its complete / unbounded / populated flags. */
+typedef struct {
+    i64 *neighbors;
+    double *dots, *corrs, *ceiling;
+    unsigned char *complete, *unbounded, *populated;
+} retained_block;
+
+/* One row's retention in progress. */
+typedef struct {
+    const double *qt;
+    double *heap_corr;
+    i64 *heap_off;
+    i64 lo, hi, candidates, size, root_off, constant_candidates;
+    double coeff, coeff_err, denom_i, ceiling, root_corr;
+} retention;
+
+/* Clear row r of the block and set up the row's retention; 0 when the row
+ * is already settled (a constant query, or no candidate at all). */
+static int retain_begin(const store_args *s, retention *t, const double *qt, i64 count,
+                        i64 off, const retained_block *b, i64 r, double *heap_corr,
+                        i64 *heap_off) {
+    double length_d = (double)s->length;
+    double sigma_i = s->stds[off];
+    i64 k, p = s->capacity;
+    for (k = 0; k < p; k++) {
+        b->neighbors[r * p + k] = -1;
+        b->dots[r * p + k] = 0.0;
+        b->corrs[r * p + k] = -INFINITY;
+    }
+    b->ceiling[r] = -INFINITY;
+    b->complete[r] = 0;
+    b->unbounded[r] = 0;
+    b->populated[r] = 1;
     if (sigma_i <= 0.0) {
-        *unbounded = 1;
-        return;
+        b->unbounded[r] = 1;
+        return 0;
     }
-    lo = off - radius;
-    if (lo < 0)
-        lo = 0;
-    hi = off + radius + 1;
-    if (hi > count)
-        hi = count;
-    candidates = count - (hi - lo);
-    if (candidates == 0) {
-        *complete = 1;
-        return;
+    t->lo = off - s->radius;
+    if (t->lo < 0)
+        t->lo = 0;
+    t->hi = off + s->radius + 1;
+    if (t->hi > count)
+        t->hi = count;
+    t->candidates = count - (t->hi - t->lo);
+    if (t->candidates == 0) {
+        b->complete[r] = 1;
+        return 0;
     }
-    mu_i = means[off];
-    denom_i = length_d * sigma_i;
-    if (compensated)
-        two_product(length_d, mu_i, &coeff, &coeff_err);
+    t->qt = qt;
+    t->heap_corr = heap_corr;
+    t->heap_off = heap_off;
+    t->size = t->constant_candidates = 0;
+    t->root_off = -1;
+    t->ceiling = t->root_corr = -INFINITY;
+    t->denom_i = length_d * sigma_i;
+    t->coeff_err = 0.0;
+    if (s->compensated)
+        two_product(length_d, s->means[off], &t->coeff, &t->coeff_err);
     else
-        coeff = length_d * mu_i;
-    /* The candidates: [0, lo) and [hi, count). */
-    for (part = 0; part < 2; part++) {
-        i64 first = part ? hi : 0, last = part ? count : lo;
-        for (j = first; j < last; j++) {
-            double corr;
-            if (stds[j] <= 0.0) {
-                corr = 1.0;
-                constant_candidates++;
-            } else {
-                double centered;
-                if (compensated) {
-                    double product, product_err, base, sum_err;
-                    two_product(coeff, means[j], &product, &product_err);
-                    two_sum(qt[j], -product, &base, &sum_err);
-                    centered = base + (sum_err - product_err - coeff_err * means[j]);
-                } else {
-                    centered = qt[j] - coeff * means[j];
-                }
-                corr = centered / (denom_i * stds[j]);
-                if (corr < -1.0)
-                    corr = -1.0;
-                else if (corr > 1.0)
-                    corr = 1.0;
-            }
-            if (size < capacity) {
-                heap_corr[size] = corr;
-                heap_off[size] = j;
-                heap_sift_up(heap_corr, heap_off, size);
-                size++;
-            } else if (corr < ceiling) {
-                continue;
-            } else if (ranks_below(root_corr, root_off, corr, j)) {
-                if (root_corr > ceiling)
-                    ceiling = root_corr;
-                heap_corr[0] = corr;
-                heap_off[0] = j;
-                heap_sift_down(heap_corr, heap_off, capacity, 0);
-            } else {
-                if (corr > ceiling)
-                    ceiling = corr;
-                continue;
-            }
-            root_corr = heap_corr[0];
-            root_off = heap_off[0];
-        }
-    }
-    if (candidates <= capacity) {
-        *complete = 1;
+        t->coeff = length_d * s->means[off];
+    return 1;
+}
+
+/* The base correlation of candidate j. */
+static double exact_corr(const store_args *s, const retention *t, i64 j) {
+    double centered, corr;
+    if (s->stds[j] <= 0.0)
+        return 1.0;
+    if (s->compensated) {
+        double product, product_err, base, sum_err;
+        two_product(t->coeff, s->means[j], &product, &product_err);
+        two_sum(t->qt[j], -product, &base, &sum_err);
+        centered = base + (sum_err - product_err - t->coeff_err * s->means[j]);
     } else {
-        *ceiling_out = ceiling;
-        for (k = 0; k < size; k++)
-            if (stds[heap_off[k]] <= 0.0)
+        centered = t->qt[j] - t->coeff * s->means[j];
+    }
+    corr = centered / (t->denom_i * s->stds[j]);
+    if (corr < -1.0)
+        corr = -1.0;
+    else if (corr > 1.0)
+        corr = 1.0;
+    return corr;
+}
+
+/* Stream candidate j through the heap. */
+static void retain_push(const store_args *s, retention *t, i64 j) {
+    double corr = exact_corr(s, t, j);
+    if (s->stds[j] <= 0.0)
+        t->constant_candidates++;
+    if (t->size < s->capacity) {
+        t->heap_corr[t->size] = corr;
+        t->heap_off[t->size] = j;
+        heap_sift_up(t->heap_corr, t->heap_off, t->size);
+        t->size++;
+    } else if (corr < t->ceiling) {
+        return;
+    } else if (ranks_below(t->root_corr, t->root_off, corr, j)) {
+        if (t->root_corr > t->ceiling)
+            t->ceiling = t->root_corr;
+        t->heap_corr[0] = corr;
+        t->heap_off[0] = j;
+        heap_sift_down(t->heap_corr, t->heap_off, s->capacity, 0);
+    } else {
+        if (corr > t->ceiling)
+            t->ceiling = corr;
+        return;
+    }
+    t->root_corr = t->heap_corr[0];
+    t->root_off = t->heap_off[0];
+}
+
+/* The flags, the ceiling and the kept entries, best first, into row r. */
+static void retain_finish(const store_args *s, retention *t, const retained_block *b,
+                          i64 r) {
+    i64 k, p = s->capacity, constant_kept = 0;
+    if (t->candidates <= p) {
+        b->complete[r] = 1;
+    } else {
+        b->ceiling[r] = t->ceiling;
+        for (k = 0; k < t->size; k++)
+            if (s->stds[t->heap_off[k]] <= 0.0)
                 constant_kept++;
-        if (constant_kept < constant_candidates)
-            *unbounded = 1;
+        if (constant_kept < t->constant_candidates)
+            b->unbounded[r] = 1;
     }
     /* Heap sort: repeatedly park the lowest-ranked root at the end, which
      * leaves the entries best first. */
-    for (k = size - 1; k > 0; k--) {
-        heap_swap(heap_corr, heap_off, 0, k);
-        heap_sift_down(heap_corr, heap_off, k, 0);
+    for (k = t->size - 1; k > 0; k--) {
+        heap_swap(t->heap_corr, t->heap_off, 0, k);
+        heap_sift_down(t->heap_corr, t->heap_off, k, 0);
     }
-    for (k = 0; k < size; k++) {
-        neighbors[k] = heap_off[k];
-        dots[k] = qt[heap_off[k]];
-        corrs[k] = heap_corr[k];
+    for (k = 0; k < t->size; k++) {
+        b->neighbors[r * p + k] = t->heap_off[k];
+        b->dots[r * p + k] = t->qt[t->heap_off[k]];
+        b->corrs[r * p + k] = t->heap_corr[k];
     }
 }
 
-/* repro_stomp_segment that also hands out its rows, for VALMOD's
- * base-pass ingest.
+/* Push the distinct candidates seeds[k] + {0, 1} (point 3), flagging each
+ * in marks so the scan does not push it again. */
+static void push_seeds(const store_args *s, retention *t, i64 count, const i64 *seeds,
+                       unsigned char *marks) {
+    i64 k, shift;
+    for (k = 0; k < s->capacity; k++) {
+        if (seeds[k] < 0)
+            continue;
+        for (shift = 0; shift < 2; shift++) {
+            i64 j = seeds[k] + shift;
+            if (j >= count || (j >= t->lo && j < t->hi) || marks[j])
+                continue;
+            marks[j] = 1;
+            retain_push(s, t, j);
+        }
+    }
+}
+
+/* Clear the flags push_seeds set. */
+static void clear_seeds(const store_args *s, i64 count, const i64 *seeds,
+                        unsigned char *marks) {
+    i64 k;
+    for (k = 0; k < s->capacity; k++) {
+        if (seeds[k] < 0)
+            continue;
+        marks[seeds[k]] = 0;
+        if (seeds[k] + 1 < count)
+            marks[seeds[k] + 1] = 0;
+    }
+}
+
+/* The prefilter's bound for threshold thr (point 4); -inf skips nothing. */
+#define PREFILTER_MARGIN 0x1p-40
+
+static double prefilter_limit(const retention *t, double thr) {
+    return thr > -1.0 ? (thr - PREFILTER_MARGIN) * t->denom_i : -INFINITY;
+}
+
+#ifdef HAVE_VECTOR_ROWS
+/* Columns per step of vector_skip: four groups of four lanes. */
+#define SKIP_STEP 16
+
+/* All-ones lanes for the columns k .. k+3 the bound skips. */
+ROW_TARGET static inline v4i below4(const double *qt, const double *means,
+                                    const double *stds, v4d vcoeff, v4d vlimit, i64 k) {
+    v4d num = load4(qt + k) - vcoeff * load4(means + k);
+    return (v4i)(num < vlimit * load4(stds + k));
+}
+
+/* The first j of from, from + SKIP_STEP, ... whose SKIP_STEP columns are
+ * not all skipped, or the first j with fewer than SKIP_STEP columns left.
+ * It only reads and returns: a call from here into code built without
+ * AVX would pay a transition penalty per pushed candidate. */
+ROW_TARGET static i64 vector_skip(const double *qt, const double *means,
+                                  const double *stds, double coeff, double limit,
+                                  i64 from, i64 to) {
+    const v4d vcoeff = {coeff, coeff, coeff, coeff};
+    const v4d vlimit = {limit, limit, limit, limit};
+    i64 j;
+    for (j = from; j + SKIP_STEP <= to; j += SKIP_STEP) {
+        v4i below = below4(qt, means, stds, vcoeff, vlimit, j) &
+                    below4(qt, means, stds, vcoeff, vlimit, j + 4) &
+                    below4(qt, means, stds, vcoeff, vlimit, j + 8) &
+                    below4(qt, means, stds, vcoeff, vlimit, j + 12);
+        if (!(below[0] & below[1] & below[2] & below[3]))
+            break;
+    }
+    return j;
+}
+#endif
+
+/* Push the candidates of [from, to) not in marks that may reach the
+ * running ceiling (point 4), raising the bound with it.  Where row_path()
+ * is "avx2", vector_skip passes over SKIP_STEP columns at a time. */
+static void prefilter_scan(const store_args *s, retention *t, i64 from, i64 to,
+                           const unsigned char *marks) {
+    const double *qt = t->qt, *means = s->means, *stds = s->stds;
+    double thr = t->ceiling, limit = prefilter_limit(t, thr);
+    i64 j = from, stop = to;
+    while (j < to) {
+#ifdef HAVE_VECTOR_ROWS
+        if (row_path() == ROW_AVX2) {
+            j = vector_skip(qt, means, stds, t->coeff, limit, j, to);
+            stop = j + SKIP_STEP < to ? j + SKIP_STEP : to;
+        }
+#endif
+        for (; j < stop; j++) {
+            if (qt[j] - t->coeff * means[j] < limit * stds[j] || marks[j])
+                continue;
+            retain_push(s, t, j);
+            if (t->ceiling > thr) {
+                thr = t->ceiling;
+                limit = prefilter_limit(t, thr);
+            }
+        }
+    }
+}
+
+/* Retain row `off` from the swept qt into row r of the block: the seeds
+ * (the previous row's retained neighbours) and then the prefilter, or,
+ * with seeds NULL, the exact loop over every candidate.  marks holds
+ * count zero bytes, heap_corr / heap_off capacity entries each. */
+static void retain_row(const store_args *s, const double *qt, i64 count, i64 off,
+                       const i64 *seeds, unsigned char *marks, double *heap_corr,
+                       i64 *heap_off, const retained_block *b, i64 r) {
+    retention t;
+    i64 j;
+    if (!retain_begin(s, &t, qt, count, off, b, r, heap_corr, heap_off))
+        return;
+    if (seeds == NULL) {
+        for (j = 0; j < t.lo; j++)
+            retain_push(s, &t, j);
+        for (j = t.hi; j < count; j++)
+            retain_push(s, &t, j);
+    } else {
+        push_seeds(s, &t, count, seeds, marks);
+        prefilter_scan(s, &t, 0, t.lo, marks);
+        prefilter_scan(s, &t, t.hi, count, marks);
+        clear_seeds(s, count, seeds, marks);
+    }
+    retain_finish(s, &t, b, r);
+}
+
+/* VALMOD's base pass: repro_stomp_segment that also retains every row.
  *
- * Rows [start, stop) are swept row by row exactly as repro_stomp_segment
- * sweeps them (a row after the seed runs the common-case row routine when
- * it applies); each row's dot products are then copied to row
- * (off - start) of `rows`, a (stop - start, count) block the store
- * retains from.  `seed` is the segment's seed row: qt holds row `seed`
- * when start == seed and row start - 1 otherwise, so one segment can be
- * swept in several blocks. */
-void repro_stomp_rows_segment(
+ * Rows [start, stop) are swept exactly as repro_stomp_segment sweeps them
+ * (the row routines are untouched); after each row, retain_row keeps its
+ * top `capacity` into row off - start of the block, under the store's own
+ * base length, statistics, zone and compensation decision.  `seed` is the
+ * segment's seed row: qt holds row `seed` when start == seed and row
+ * start - 1 otherwise, so one segment can be swept in several chunks.
+ * prev (capacity entries) holds the retained neighbours of row start - 1
+ * on entry when start > seed, and those of row stop - 1 on return; marks
+ * (count bytes, all zero) and heap_corr / heap_off (capacity entries
+ * each) are scratch. */
+void repro_stomp_retain_segment(
     const double *values, i64 window, i64 count, const double *means,
     const double *stds, const double *inv_stds, const double *coef,
     const double *first_col, double *qt, i64 start, i64 stop, i64 radius,
     int compensated, int has_const, double *profile, i64 *indices, i64 seed,
-    double *rows) {
-    i64 off;
+    i64 length, const double *base_means, const double *base_stds, i64 base_radius,
+    int base_compensated, i64 capacity, i64 *neighbors, double *dots, double *corrs,
+    double *ceiling, unsigned char *complete, unsigned char *unbounded,
+    unsigned char *populated, i64 *prev, unsigned char *marks, double *heap_corr,
+    i64 *heap_off) {
+    store_args s = {base_means, base_stds, length, base_radius, capacity,
+                    base_compensated};
+    retained_block b = {neighbors, dots, corrs, ceiling, complete, unbounded, populated};
+    int exact = base_compensated;
+    i64 off, j;
+    for (j = 0; j < count && !exact; j++)
+        exact = base_stds[j] <= 0.0;
     for (off = start; off < stop; off++) {
-        stomp_row(values, window, count, means, stds, inv_stds, coef, first_col, qt,
-                  off, off > seed, radius, compensated, has_const,
-                  profile + (off - start), indices + (off - start));
-        memcpy(rows + (off - start) * count, qt, (size_t)count * sizeof(double));
+        i64 r = off - start;
+        const i64 *seeds = r > 0 ? neighbors + (r - 1) * capacity : prev;
+        stomp_row(values, window, count, means, stds, inv_stds, coef, first_col, qt, off,
+                  off > seed, radius, compensated, has_const, profile + r, indices + r);
+        retain_row(&s, qt, count, off, exact || off == seed ? NULL : seeds, marks,
+                   heap_corr, heap_off, &b, r);
     }
-}
-
-/* PartialProfileStore.ingest_centered_profile for a block of consecutive
- * rows: row r of `rows` (num_rows x count) holds the centered dot products
- * of offset first + r, retained by retain_row into row first + r -
- * row_start of the store's (rows, capacity) arrays.  The store passes its
- * own base length, statistics, trivial-match radius and compensation
- * decision; heap_corr / heap_off are `capacity`-sized caller scratch. */
-void repro_store_ingest(const double *rows, i64 num_rows, i64 count, i64 first,
-                        i64 length, const double *means, const double *stds,
-                        i64 radius, int compensated, i64 capacity, i64 row_start,
-                        i64 *neighbors, double *dot_products,
-                        double *base_correlations, double *ceiling,
-                        unsigned char *complete, unsigned char *unbounded,
-                        unsigned char *populated, double *heap_corr,
-                        i64 *heap_off) {
-    i64 r;
-    for (r = 0; r < num_rows; r++) {
-        i64 off = first + r, row = off - row_start;
-        retain_row(rows + r * count, count, off, length, means, stds, radius,
-                   compensated, capacity, heap_corr, heap_off,
-                   neighbors + row * capacity, dot_products + row * capacity,
-                   base_correlations + row * capacity, ceiling + row,
-                   complete + row, unbounded + row, populated + row);
-    }
+    if (stop > start)
+        memcpy(prev, neighbors + (stop - start - 1) * capacity,
+               (size_t)capacity * sizeof(i64));
 }
 
 /* Tail update of PartialProfileStore.advance_to, lengths from -> to.

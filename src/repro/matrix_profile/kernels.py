@@ -40,11 +40,10 @@ one window keep and reuse):
     and reduces four columns per instruction in one pass on x86-64 CPUs
     with AVX2, and one column at a time everywhere else
     (:func:`~repro.matrix_profile._native.row_path` names the one in use),
-    for the self-join sweep, the base pass's row blocks and the AB-join
-    alike.  It also carries VALMOD's partial-profile store: the base-pass
-    sweep hands its rows to the store block by block and the store
-    retains them in C, and the store's per-length advance and evaluation
-    run in C too.  Optional: when no
+    for the self-join sweep, VALMOD's base pass and the AB-join alike.  It
+    also carries VALMOD's partial-profile store: the base pass retains each
+    row's top ``p`` in C straight after the row is swept, and the store's
+    per-length advance and evaluation run in C too.  Optional: when no
     compiler is available (or ``REPRO_NO_NATIVE=1``), requests for it fall
     back to ``"numpy"`` with a one-time :class:`RuntimeWarning`.
 
@@ -88,10 +87,20 @@ is now that ``ingest_store.ingest_centered_profile(offset, dot_products)``
 receives a **read-only view** that is only valid for the duration of the
 call (the store copies what it retains); consuming it during the call is
 the whole contract.  The oracle and numpy kernels hand over one 1-D row
-per call; the native kernel sweeps a block of rows in C and hands over
-the 2-D ``(rows, count)`` block of rows ``offset, offset + 1, ...`` in one
-call, so a store can retain it in C as well.  ``tests/test_kernels.py``
-pins this.
+per call.  The native kernel takes a
+:class:`~repro.core.partial_profile.PartialProfileStore` only (any other
+hook raises :class:`~repro.exceptions.InvalidParameterError`): it asks the
+store for its retention inputs
+(:meth:`~repro.core.partial_profile.PartialProfileStore.retention_inputs`),
+sweeps chunks of :data:`_RETAIN_CHUNK_ROWS` rows, retains each row in C
+right after it is swept (the full row is never copied), and hands over a
+compact block per chunk: a mapping of the store's retained-row fields
+(``rows x p`` neighbours, dot products and correlations, plus each row's
+ceiling and flags) for rows ``offset, offset + 1, ...``, read-only views
+as well.  The store checks the rows are its own and not yet ingested, then
+copies them.  The retention keeps the store byte for byte the one the
+oracle and numpy kernels build (the exactness argument is in
+``_stomp_kernel.c``).  ``tests/test_kernels.py`` pins all of this.
 """
 
 from __future__ import annotations
@@ -477,9 +486,8 @@ def _numpy_segment(
             best_qt[pos] = row[winner]
 
 
-#: Bytes of the row block a native ingest sweep fills before the store
-#: retains it (a block holds at least one row).
-_INGEST_BLOCK_BYTES = 2 << 20
+#: Rows a native base pass sweeps and retains per hand-off to the store.
+_RETAIN_CHUNK_ROWS = 1024
 
 
 def _address(array: np.ndarray) -> int:
@@ -489,18 +497,40 @@ def _address(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+def _retention(ingest, count: int, rows: int):
+    """The native base pass's retention arguments for chunks of ``rows``
+    rows: the store's inputs, the store's compact block the C pass fills
+    and the pass's scratch."""
+    from repro.core.partial_profile import PartialProfileStore
+
+    if not isinstance(ingest, PartialProfileStore):
+        raise InvalidParameterError(
+            "the native kernel retains base-pass rows into a PartialProfileStore "
+            f"only, not a {type(ingest).__name__}; run another kernel for other hooks"
+        )
+    capacity = ingest.capacity
+    scratch = (
+        np.empty(capacity, dtype=np.int64),  # the previous row's neighbours
+        np.zeros(count, dtype=np.uint8),  # seed marks
+        np.empty(capacity, dtype=np.float64),  # heap correlations
+        np.empty(capacity, dtype=np.int64),  # heap offsets
+    )
+    return ingest.retention_inputs(count), ingest.retention_block(rows), scratch
+
+
 def _native_segment(
-    ctx, lib, qt, seg_start, seg_stop, base, profile, indices, ingest, block, addresses
+    ctx, lib, qt, seg_start, seg_stop, base, profile, indices, ingest, retention, addresses
 ):
     """Dispatch one reseed segment to the compiled kernel.
 
     Without ``ingest`` the call passes raw addresses: ``addresses`` holds
     the leading arguments (the context's arrays and ``qt``), converted once
     per :class:`PreparedSweep`, so a short run pays two conversions, not
-    eleven.  With an ``ingest`` store the segment is swept block by block:
-    the C sweep copies each row's dot products into ``block`` and the store
-    retains the block through ``ingest_centered_profile`` (in C as well,
-    see :mod:`repro.core.partial_profile`).
+    eleven.  With an ``ingest`` store the segment is swept in chunks of
+    :data:`_RETAIN_CHUNK_ROWS` rows: the C pass retains each row's top
+    ``capacity`` into the compact block of ``retention`` (see
+    :func:`_retention`) and the store copies the block in through
+    ``ingest_centered_profile``.
     """
     flags = (ctx.radius, 1 if ctx.compensated else 0, 1 if ctx.has_const else 0)
     if ingest is None:
@@ -525,11 +555,12 @@ def _native_segment(
         ctx.first_col,
         qt,
     )
+    inputs, block, scratch = retention
     chunk_start = seg_start
     while chunk_start < seg_stop:
-        chunk_stop = min(chunk_start + block.shape[0], seg_stop)
-        rows = block[: chunk_stop - chunk_start]
-        lib.repro_stomp_rows_segment(
+        chunk_stop = min(chunk_start + _RETAIN_CHUNK_ROWS, seg_stop)
+        rows = {field: array[: chunk_stop - chunk_start] for field, array in block.items()}
+        lib.repro_stomp_retain_segment(
             *sweep,
             chunk_start,
             chunk_stop,
@@ -537,9 +568,13 @@ def _native_segment(
             profile[chunk_start - base : chunk_stop - base],
             indices[chunk_start - base : chunk_stop - base],
             seg_start,
-            rows,
+            *inputs,
+            *rows.values(),
+            *scratch,
         )
-        ingest.ingest_centered_profile(chunk_start, _readonly_view(rows))
+        ingest.ingest_centered_profile(
+            chunk_start, {field: _readonly_view(array) for field, array in rows.items()}
+        )
         chunk_start = chunk_stop
 
 
@@ -621,10 +656,9 @@ class PreparedSweep:
         interval = length if reseed_interval is None else int(reseed_interval)
         seg_len = interval + 1
 
-        block = None
+        retention = None
         if name == "native" and ingest is not None:
-            block_rows = max(1, min(length, _INGEST_BLOCK_BYTES // (8 * ctx.count)))
-            block = np.empty((block_rows, ctx.count), dtype=np.float64)
+            retention = _retention(ingest, ctx.count, min(length, _RETAIN_CHUNK_ROWS))
         if name == "numpy":
             best = np.empty(length, dtype=np.int64)
             best_qt = np.empty(length, dtype=np.float64)
@@ -650,7 +684,7 @@ class PreparedSweep:
                         profile,
                         indices,
                         ingest,
-                        block,
+                        retention,
                         self._addresses,
                     )
                 else:
@@ -715,9 +749,9 @@ def run_sweep(
         contract).  An ``ingest`` store (a
         :class:`~repro.core.partial_profile.PartialProfileStore` or
         fragment) is fed one row view at a time by the oracle and numpy
-        kernels and blocks of consecutive rows by the native kernel,
-        which the store retains in C; every kernel builds the same store
-        bit for bit.
+        kernels and blocks of rows already retained in C by the native
+        kernel, which accepts no other hook; every kernel builds the same
+        store bit for bit.
 
     Returns
     -------

@@ -75,11 +75,10 @@ def _validate_window(series_length: int, window: int) -> None:
 
 
 def moving_mean(series: np.ndarray, window: int) -> np.ndarray:
-    """Mean of every length-``window`` subsequence of ``series``."""
-    array = _as_float_array(series)
-    _validate_window(array.size, window)
-    csum, _ = prefix_sums(array)
-    return (csum[window:] - csum[:-window]) / window
+    """Mean of every length-``window`` subsequence of ``series``, from the
+    centered prefix sums of :func:`moving_mean_std`."""
+    means, _ = moving_mean_std(series, window)
+    return means
 
 
 def moving_std(series: np.ndarray, window: int) -> np.ndarray:

@@ -25,6 +25,7 @@ level and through the cross-kernel equality sweeps.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import warnings
 
@@ -77,6 +78,9 @@ SERIES_CASES = {
     "seam": (_seam_series(), 24),
     "tiny": (_walk(40, seed=5), 8),
     "w3": (_walk(90, seed=9), 3),
+    # White noise: a row's retained neighbours say little about the next
+    # row's, so the base pass's seeded floor is weak.
+    "noise": (np.random.default_rng(19).standard_normal(300), 32),
 }
 
 
@@ -211,6 +215,10 @@ TIE_CASES = {
     "fully_excluded": (lambda: _periodic_args(6, 6, 4, 40, seed=7), None),
     "mostly_excluded": (lambda: _periodic_args(10, 8, 6, 70, seed=8), None),
     "signed_zero": (_signed_zero_args, "signed_zero"),
+    # Six copies of a 9-point pattern: with 5 or 8 entries kept, a base-pass
+    # store's ceiling falls on a family of exact ties below 1.0, offsets
+    # that the retention's prefilter must not skip.
+    "ceiling_ties": (lambda: _periodic_args(9, 6, 9, 1, seed=3), None),
 }
 
 
@@ -219,6 +227,22 @@ def _scalar_rows_cache(tmp_path_factory):
     """One build cache for the ``-DREPRO_SCALAR_ROWS`` kernel: every case
     after the first loads the library the first one compiled."""
     return tmp_path_factory.mktemp("scalar_rows")
+
+
+@contextlib.contextmanager
+def _scalar_rows_build(monkeypatch, cache):
+    """The native kernel of a second build compiled with
+    ``-DREPRO_SCALAR_ROWS`` (the scalar row loop and retention scan), loaded
+    for the duration of the block."""
+    monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-DREPRO_SCALAR_ROWS"))
+    monkeypatch.setenv(_native.CACHE_ENV, str(cache))
+    _native.reset()
+    try:
+        assert _native.row_path() == "scalar"
+        yield
+    finally:
+        monkeypatch.undo()
+        _native.reset()
 
 
 @pytest.fixture(params=["default", "scalar"])
@@ -230,15 +254,8 @@ def row_path(request, monkeypatch, _scalar_rows_cache):
     if request.param == "default":
         yield _native.row_path()
         return
-    monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-DREPRO_SCALAR_ROWS"))
-    monkeypatch.setenv(_native.CACHE_ENV, str(_scalar_rows_cache))
-    _native.reset()
-    try:
-        assert _native.row_path() == "scalar"
+    with _scalar_rows_build(monkeypatch, _scalar_rows_cache):
         yield "scalar"
-    finally:
-        monkeypatch.undo()
-        _native.reset()
 
 
 @pytest.mark.parametrize("case", sorted(TIE_CASES))
@@ -248,7 +265,7 @@ def test_native_rows_break_ties_like_argmax(case, row_path):
     at column 0, beside both edges of the exclusion zone and between +0.0
     and -0.0; counts below 4 and off the 4- and 64-column grids; rows that
     are fully excluded.  Both native sweeps run: the plain segment and the
-    row blocks of the base-pass ingest."""
+    base pass, whose store must equal the oracle's."""
     factory, place = TIE_CASES[case]
     args = factory()
     count = args[3].size
@@ -259,12 +276,16 @@ def test_native_rows_break_ties_like_argmax(case, row_path):
         expected = run_sweep(*args, 0, count, kernel="oracle", reseed_interval=reseed)
         numpy_result = run_sweep(*args, 0, count, kernel="numpy", reseed_interval=reseed)
         plain = run_sweep(*args, 0, count, kernel="native", reseed_interval=reseed)
-        blocks = run_sweep(
-            *args, 0, count, kernel="native", reseed_interval=reseed, ingest=_IngestRecorder()
+        oracle_store = _empty_store(args[0], args[1], 4)
+        run_sweep(*args, 0, count, kernel="oracle", reseed_interval=reseed, ingest=oracle_store)
+        native_store = _empty_store(args[0], args[1], 4)
+        base_pass = run_sweep(
+            *args, 0, count, kernel="native", reseed_interval=reseed, ingest=native_store
         )
-        for got, label in ((numpy_result, "numpy"), (plain, "native"), (blocks, "native rows")):
+        for got, label in ((numpy_result, "numpy"), (plain, "native"), (base_pass, "base pass")):
             np.testing.assert_array_equal(got[0], expected[0], err_msg=f"{label} {row_path}")
             np.testing.assert_array_equal(got[1], expected[1], err_msg=f"{label} {row_path}")
+        _assert_stores_identical(native_store, oracle_store)
     if case == "fully_excluded":
         assert np.all(expected[1] == -1)
 
@@ -394,28 +415,22 @@ def test_numpy_kernel_allocation_count_is_row_independent(monkeypatch):
 # aliasing contract (satellite: the qt use-after-advance fix)
 # --------------------------------------------------------------------- #
 class _IngestRecorder:
-    """Minimal ingest hook: copies what it keeps, as the contract demands.
-
-    It takes one row or a block of consecutive rows per call.
-    """
+    """Minimal ingest hook: copies what it keeps, as the contract demands."""
 
     def __init__(self):
         self.rows = {}
         self.writeable = []
-        self.ndims = set()
 
     def ingest_centered_profile(self, offset, dot_products):
         self.writeable.append(dot_products.flags.writeable)
-        self.ndims.add(dot_products.ndim)
-        for k, row in enumerate(np.atleast_2d(dot_products)):
-            self.rows[int(offset) + k] = np.array(row)
+        self.rows[int(offset)] = np.array(dot_products)
 
 
-@pytest.mark.parametrize("kernel", ["oracle", *FAST_KERNELS])
+@pytest.mark.parametrize("kernel", ["oracle", "numpy"])
 def test_ingest_views_read_only_and_consistent(kernel):
-    """Every kernel hands the hook read-only centered rows equal to the
-    oracle's: one row per call on oracle and numpy, blocks of rows on
-    native."""
+    """The oracle and numpy kernels hand the hook one read-only centered row
+    per call, equal to the oracle's.  (The native kernel retains into a
+    PartialProfileStore only; see the next test.)"""
     values, window = SERIES_CASES["walk"]
     args = _sweep_args(values, window)
     count = args[3].size
@@ -425,10 +440,22 @@ def test_ingest_views_read_only_and_consistent(kernel):
     recorder = _IngestRecorder()
     run_sweep(*args, 0, count, kernel=kernel, ingest=recorder)
     assert not any(recorder.writeable)
-    assert recorder.ndims == {2 if kernel == "native" else 1}
     assert recorder.rows.keys() == reference.rows.keys()
     for offset, row in reference.rows.items():
         np.testing.assert_array_equal(recorder.rows[offset], row)
+
+
+@pytest.mark.skipif("native" not in FAST_KERNELS, reason="no compiled kernel")
+def test_native_rejects_other_ingest_hooks():
+    """stomp(ingest_store=)'s contract: the native base pass retains rows
+    into a PartialProfileStore, so any other hook is refused before a row
+    is swept."""
+    values, window = SERIES_CASES["walk"]
+    args = _sweep_args(values, window)
+    recorder = _IngestRecorder()
+    with pytest.raises(InvalidParameterError, match="PartialProfileStore"):
+        run_sweep(*args, 0, 10, kernel="native", ingest=recorder)
+    assert not recorder.rows
 
 
 # --------------------------------------------------------------------- #
@@ -454,26 +481,79 @@ def test_shift_case_runs_compensated():
     assert stats.conversion_compensated(window + 3)
 
 
-@pytest.mark.parametrize("case", sorted(SERIES_CASES))
-@pytest.mark.parametrize("capacity", [4, 16])
-@pytest.mark.parametrize("reseed", [None, 17])
-@pytest.mark.parametrize("rows", ["full", "partial"])
-def test_store_ingest_bit_equal_across_kernels(case, capacity, reseed, rows):
+def _store_case(case: str):
+    """Sweep arguments, raw series and store exclusion factor of one case of
+    the store matrix: a series case, a tie case, or ``<series>_zone<f>``, a
+    series case whose store takes exclusion factor ``f`` while the sweep
+    keeps the default radius."""
+    if case in TIE_CASES:
+        args = TIE_CASES[case][0]()
+        return args, args[0], 4
+    name, _, factor = case.partition("_zone")
+    values, window = SERIES_CASES[name]
+    return _sweep_args(values, window), values, int(factor or 4)
+
+
+def _store_matrix() -> list:
+    """``(rows, reseed, capacity, case)`` of the store bit-equality matrix:
+    every series case at capacities 4 and 16, unbroken and reseeded, over
+    all rows and over a fragment; capacity 1 and complete rows ("all":
+    capacity >= the candidate count) on every series case; a wider and a
+    narrower store zone; and the tie cases, whose exact correlation ties
+    reach the ceiling."""
+    matrix = [
+        (rows, reseed, capacity, case)
+        for case in sorted(SERIES_CASES)
+        for capacity in (4, 16)
+        for reseed in (None, 17)
+        for rows in ("full", "partial")
+    ]
+    matrix += [
+        ("full", None, capacity, case)
+        for case in sorted(SERIES_CASES)
+        for capacity in (1, "all")
+    ]
+    matrix += [
+        ("full", None, capacity, case)
+        for case in ("walk_zone2", "noise_zone8")
+        for capacity in (4, 16)
+    ]
+    matrix += [
+        ("full", reseed, capacity, case)
+        for case in sorted(TIE_CASES)
+        for capacity, reseed in ((1, None), (5, 5), (8, None), ("all", None))
+    ]
+    return matrix
+
+
+@pytest.mark.parametrize("rows, reseed, capacity, case", _store_matrix())
+def test_store_ingest_bit_equal_across_kernels(
+    rows, reseed, capacity, case, monkeypatch, _scalar_rows_cache
+):
     """Oracle, numpy and native sweeps build the same store (or fragment),
-    every retention array equal byte for byte."""
-    values, window = SERIES_CASES[case]
-    args = _sweep_args(values, window)
-    count = args[3].size
+    every retention array equal byte for byte; the native base pass on both
+    row paths (this machine's build and the ``-DREPRO_SCALAR_ROWS`` one)."""
+    args, values, exclusion_factor = _store_case(case)
+    window, count = args[1], args[3].size
+    if capacity == "all":
+        capacity = count
     start, stop = (0, count) if rows == "full" else (count // 3, min(count, count // 3 + 123))
-    built = {}
-    for kernel in ("oracle", *FAST_KERNELS):
-        store = _empty_store(values, window, capacity)
+
+    def build(kernel):
+        store = PartialProfileStore(
+            values, SlidingStats(values), window, capacity, exclusion_factor=exclusion_factor
+        )
         target = store if rows == "full" else store.split((start, stop))
         run_sweep(*args, start, stop, kernel=kernel, reseed_interval=reseed, ingest=target)
         assert target.export_state()["populated"].all()
-        built[kernel] = target
+        return target
+
+    reference = build("oracle")
     for kernel in FAST_KERNELS:
-        _assert_stores_identical(built[kernel], built["oracle"])
+        _assert_stores_identical(build(kernel), reference)
+    if "native" in FAST_KERNELS:
+        with _scalar_rows_build(monkeypatch, _scalar_rows_cache):
+            _assert_stores_identical(build("native"), reference)
 
 
 @pytest.mark.parametrize("kernel", ["oracle", *FAST_KERNELS])
@@ -529,31 +609,6 @@ def test_native_ingest_keeps_store_checks():
     short = _empty_store(values[:-1], window, 4)
     with pytest.raises(InvalidParameterError, match="dot products"):
         run_sweep(*args, 0, 10, kernel="native", ingest=short)
-
-
-def test_block_ingest_equals_row_ingest(monkeypatch):
-    """A 2-D block of consecutive rows builds the store that one row per
-    call builds: in C when the compiled kernel is loaded, row by row in
-    numpy without it (the ``shift`` case runs the compensated branches)."""
-    values, window = SERIES_CASES["shift"]
-    args = _sweep_args(values, window)
-    count = args[3].size
-    reference = _IngestRecorder()
-    run_sweep(*args, 0, count, kernel="oracle", ingest=reference)
-    rows = np.array([reference.rows[offset] for offset in range(count)])
-    by_row = _empty_store(values, window, 4)
-    for offset in range(count):
-        by_row.ingest_centered_profile(offset, rows[offset])
-
-    def by_blocks():
-        store = _empty_store(values, window, 4)
-        for first in range(0, count, 37):
-            store.ingest_centered_profile(first, rows[first : first + 37])
-        return store
-
-    _assert_stores_identical(by_blocks(), by_row)
-    monkeypatch.setattr(_native, "load", lambda: None)
-    _assert_stores_identical(by_blocks(), by_row)
 
 
 @pytest.mark.skipif("native" not in FAST_KERNELS, reason="no compiled kernel")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,15 @@ class TestMovingStatistics:
         window = 7
         expected = np.array([values[i : i + window].mean() for i in range(len(values) - window + 1)])
         np.testing.assert_allclose(moving_mean(values, window), expected, atol=1e-12)
+
+    def test_moving_mean_is_exact_at_a_large_offset(self):
+        # Raw prefix sums of a walk at 1e6 left window means off by 1.4e-7.
+        values = np.cumsum(np.random.default_rng(61).standard_normal(4096)) + 1e6
+        window = 10
+        exact = np.array(
+            [math.fsum(values[i : i + window]) / window for i in range(values.size - window + 1)]
+        )
+        assert np.max(np.abs(moving_mean(values, window) - exact)) <= 1e-9
 
     def test_moving_std_matches_naive(self):
         values = np.random.default_rng(1).normal(size=50)
