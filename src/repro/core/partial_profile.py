@@ -420,7 +420,8 @@ class PartialProfileStore:
         A mapping instead of an array is a block of rows the native base
         pass already retained in C, row ``k`` belonging to offset
         ``offset + k``: the :data:`_STATE_FIELDS` arrays, ``capacity``
-        entries per row.  The store checks the rows are its own and not
+        entries per row.  The store checks that each field has its own
+        array's dtype and row shape and that the rows are its own and not
         yet ingested, then copies them.
         """
         if isinstance(dot_products, Mapping):
@@ -512,7 +513,17 @@ class PartialProfileStore:
 
     def _ingest_block(self, offset: int, block: Mapping) -> None:
         """:meth:`ingest_centered_profile` of retained rows ``offset, offset + 1, ...``."""
-        stop = offset + len(block["populated"])
+        rows = len(block["populated"])
+        for field in _STATE_FIELDS:
+            array = getattr(self, f"_{field}")
+            given = np.asarray(block[field])
+            shape = (rows, *array.shape[1:])
+            if given.shape != shape or given.dtype != array.dtype:
+                raise InvalidParameterError(
+                    f"block field {field!r} must be {array.dtype} of shape {shape}, "
+                    f"got {given.dtype} of shape {given.shape}"
+                )
+        stop = offset + rows
         if offset < self._row_start or stop > self._row_stop:
             outside = offset if offset < self._row_start else max(offset, self._row_stop)
             raise InvalidParameterError(

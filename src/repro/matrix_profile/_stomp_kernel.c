@@ -606,7 +606,8 @@ static void heap_sift_up(double *corr, i64 *off, i64 pos) {
  *     previous row).
  *
  * The prefilter skips sixteen columns per step where row_path() is "avx2"
- * and tests one at a time elsewhere; which candidates it visits does not
+ * (the one-column test made the base pass 1.24-1.46x slower there) and
+ * tests one at a time elsewhere; which candidates it visits does not
  * matter (point 1), so both give the same bytes.  On a 2048-point ECG at
  * L = 100 with p = 16, a row pushes 23 seeds and 1.2 more candidates on
  * average, where the exact loop pushes all ~1,900 (white noise: 32 and

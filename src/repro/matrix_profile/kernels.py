@@ -97,10 +97,11 @@ right after it is swept (the full row is never copied), and hands over a
 compact block per chunk: a mapping of the store's retained-row fields
 (``rows x p`` neighbours, dot products and correlations, plus each row's
 ceiling and flags) for rows ``offset, offset + 1, ...``, read-only views
-as well.  The store checks the rows are its own and not yet ingested, then
-copies them.  The retention keeps the store byte for byte the one the
-oracle and numpy kernels build (the exactness argument is in
-``_stomp_kernel.c``).  ``tests/test_kernels.py`` pins all of this.
+as well.  The store checks that the rows are its own and not yet ingested
+and that each field has its arrays' dtype and row shape, then copies them.
+The retention keeps the store byte for byte the one the oracle and numpy
+kernels build (the exactness argument is in ``_stomp_kernel.c``).
+``tests/test_kernels.py`` pins all of this.
 """
 
 from __future__ import annotations
@@ -510,7 +511,7 @@ def _retention(ingest, count: int, rows: int):
         )
     capacity = ingest.capacity
     scratch = (
-        np.empty(capacity, dtype=np.int64),  # the previous row's neighbours
+        np.full(capacity, -1, dtype=np.int64),  # the previous row's neighbours (-1: none)
         np.zeros(count, dtype=np.uint8),  # seed marks
         np.empty(capacity, dtype=np.float64),  # heap correlations
         np.empty(capacity, dtype=np.int64),  # heap offsets

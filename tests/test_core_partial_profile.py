@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.partial_profile import PartialProfileStore
+from repro.core.partial_profile import _STATE_FIELDS, PartialProfileStore
 from repro.exceptions import InvalidParameterError
 from repro.matrix_profile.brute_force import brute_force_matrix_profile
 from repro.matrix_profile.exclusion import default_exclusion_radius
@@ -71,6 +71,26 @@ class TestConstruction:
         store = PartialProfileStore(small_random_series, stats, 16, 4)
         with pytest.raises(InvalidParameterError):
             store.ingest_centered_profile(0, np.zeros(5))
+
+    def test_malformed_block_raises(self, small_random_series):
+        """A block of retained rows must match the store's arrays in shape
+        and dtype: a narrower field would otherwise broadcast into every
+        row's ``capacity`` entries."""
+        state = _build_store(small_random_series, 16, 4).export_state()
+        good = {field: state[field][:3] for field in _STATE_FIELDS}
+        bad_blocks = [
+            {**good, "neighbors": good["neighbors"][:, :1]},
+            {**good, "dot_products": good["dot_products"].astype(np.float32)},
+            {**good, "pruned_correlation_ceiling": good["pruned_correlation_ceiling"][:2]},
+        ]
+        stats = SlidingStats(small_random_series)
+        store = PartialProfileStore(small_random_series, stats, 16, 4)
+        for block in bad_blocks:
+            with pytest.raises(InvalidParameterError, match="block field"):
+                store.ingest_centered_profile(0, block)
+        assert not store.export_state()["populated"].any()
+        store.ingest_centered_profile(0, good)
+        assert store.export_state()["populated"][:3].all()
 
     def test_properties(self, small_random_series):
         store = _build_store(small_random_series, 16, 8)

@@ -482,16 +482,19 @@ def test_shift_case_runs_compensated():
 
 
 def _store_case(case: str):
-    """Sweep arguments, raw series and store exclusion factor of one case of
-    the store matrix: a series case, a tie case, or ``<series>_zone<f>``, a
-    series case whose store takes exclusion factor ``f`` while the sweep
-    keeps the default radius."""
+    """Sweep arguments, raw series, store exclusion factor and native chunk
+    rows of one case of the store matrix: a series case, a tie case,
+    ``<series>_zone<f>``, a series case whose store takes exclusion factor
+    ``f`` while the sweep keeps the default radius, or ``<series>_chunk<k>``,
+    whose native base pass hands the store ``k`` rows at a time, so most
+    chunks take their first row's seeds from the chunk before."""
     if case in TIE_CASES:
         args = TIE_CASES[case][0]()
-        return args, args[0], 4
-    name, _, factor = case.partition("_zone")
+        return args, args[0], 4, None
+    name, _, chunk = case.partition("_chunk")
+    name, _, factor = name.partition("_zone")
     values, window = SERIES_CASES[name]
-    return _sweep_args(values, window), values, int(factor or 4)
+    return _sweep_args(values, window), values, int(factor or 4), int(chunk) if chunk else None
 
 
 def _store_matrix() -> list:
@@ -499,8 +502,9 @@ def _store_matrix() -> list:
     every series case at capacities 4 and 16, unbroken and reseeded, over
     all rows and over a fragment; capacity 1 and complete rows ("all":
     capacity >= the candidate count) on every series case; a wider and a
-    narrower store zone; and the tie cases, whose exact correlation ties
-    reach the ceiling."""
+    narrower store zone; the tie cases, whose exact correlation ties reach
+    the ceiling; and chunks of 7 rows, unbroken and reseeded, over all rows
+    and over a fragment."""
     matrix = [
         (rows, reseed, capacity, case)
         for case in sorted(SERIES_CASES)
@@ -523,6 +527,12 @@ def _store_matrix() -> list:
         for case in sorted(TIE_CASES)
         for capacity, reseed in ((1, None), (5, 5), (8, None), ("all", None))
     ]
+    matrix += [
+        (rows, reseed, 4, f"{case}_chunk7")
+        for case in ("noise", "shift", "walk")
+        for reseed in (None, 17)
+        for rows in ("full", "partial")
+    ]
     return matrix
 
 
@@ -533,8 +543,10 @@ def test_store_ingest_bit_equal_across_kernels(
     """Oracle, numpy and native sweeps build the same store (or fragment),
     every retention array equal byte for byte; the native base pass on both
     row paths (this machine's build and the ``-DREPRO_SCALAR_ROWS`` one)."""
-    args, values, exclusion_factor = _store_case(case)
+    args, values, exclusion_factor, chunk_rows = _store_case(case)
     window, count = args[1], args[3].size
+    if chunk_rows is not None:
+        monkeypatch.setattr(kernels, "_RETAIN_CHUNK_ROWS", chunk_rows)
     if capacity == "all":
         capacity = count
     start, stop = (0, count) if rows == "full" else (count // 3, min(count, count // 3 + 123))
