@@ -254,15 +254,17 @@ class PersistentResultCache:
         return path.with_name(f"{path.stem}.valmod.json")
 
     def load(self, digest: str, key: str) -> Optional[Tuple[object, int]]:
-        """Return ``(envelope, file_size_bytes)`` for the slot, or ``None``.
+        """Return ``(envelope, size_bytes)`` for the slot, or ``None``.
 
         Missing, unreadable, corrupted and key-mismatched files all count as
         misses; corrupted files are removed best-effort so the slot heals on
-        the next store.  The file size rides along so callers promoting the
+        the next store.  The size rides along so callers promoting the
         envelope into an :class:`LRUResultCache` do not have to re-serialise
-        a payload that was just parsed from disk.
+        a payload that was just parsed from disk: it is the size of the
+        result text inside the file, which is what the computed envelope
+        was counted at.
         """
-        from repro.io.serialization import load_cache_entry
+        from repro.io.serialization import cache_entry_result_bytes, load_cache_entry
 
         path = self.path_for(digest, key)
         if not path.is_file():
@@ -280,6 +282,7 @@ class PersistentResultCache:
         if stored_key != key:
             return None
         _PERSISTENT_LOADS.inc()
+        size = cache_entry_result_bytes(key, size)
         return self._rehydrate_valmod(digest, key, result), int(size)
 
     def _rehydrate_valmod(self, digest: str, key: str, result):
@@ -329,14 +332,14 @@ class PersistentResultCache:
         return replace(result, payload=full)
 
     def store(
-        self, digest: str, key: str, result, *, result_dict: dict | None = None
+        self, digest: str, key: str, result, *, result_json: str | None = None
     ) -> Optional[Path]:
         """Spill one envelope; returns the path, or ``None`` when it cannot
         be serialised or written (the cache is best-effort by design).
 
-        ``result_dict`` optionally passes an already-computed
-        ``result.as_dict()`` so callers that serialised the envelope for
-        size accounting do not pay the conversion twice.
+        ``result_json`` optionally passes the envelope already encoded as
+        ``json.dumps(result.as_dict(), sort_keys=True)``, so callers that
+        encoded it for size accounting do not pay the encoding twice.
         """
         from repro.core.results import ValmodResult
         from repro.io.serialization import save_cache_entry, save_result
@@ -344,7 +347,7 @@ class PersistentResultCache:
         path = self.path_for(digest, key)
         try:
             with self._lock:
-                written = save_cache_entry(result, key, path, result_dict=result_dict)
+                written = save_cache_entry(result, key, path, result_json=result_json)
                 if isinstance(getattr(result, "payload", None), ValmodResult):
                     # The envelope lands first: a crash here leaves a slot
                     # that degrades to the envelope view, never one whose

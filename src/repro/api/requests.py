@@ -218,8 +218,15 @@ def canonical_cache_key(spec, request: "AnalysisRequest") -> str | None:
     ).cache_key()
 
 
-def _payload_as_dict(kind: str, payload: Any) -> tuple[str, Any]:
-    """Serialise a result payload to ``(payload_type, jsonable)``."""
+def _payload_as_dict(
+    kind: str, payload: Any, *, arrays: bool = False
+) -> tuple[str, Any]:
+    """Serialise a result payload to ``(payload_type, jsonable)``.
+
+    ``arrays=True`` leaves numpy arrays as arrays (the binary frame's form,
+    :mod:`repro.io.frame`); otherwise they become lists, with a pan
+    profile's ``NaN`` padding as ``None``.
+    """
     if isinstance(payload, ValmodResult):
         # The envelope carries the cross-algorithm comparable view; the
         # full ValmodResult persists via repro.io.save_result instead.
@@ -227,16 +234,17 @@ def _payload_as_dict(kind: str, payload: Any) -> tuple[str, Any]:
     if isinstance(payload, RangeDiscoveryResult):
         return ("range_result", payload.as_dict())
     if isinstance(payload, MatrixProfile):
-        return ("matrix_profile", payload.as_dict())
+        return ("matrix_profile", payload.as_dict(arrays=arrays))
     if isinstance(payload, PanMatrixProfile):
-        serialised = payload.as_dict()
-        serialised["normalized_profiles"] = [
-            [None if value != value else value for value in row]
-            for row in serialised["normalized_profiles"]
-        ]
+        serialised = payload.as_dict(arrays=arrays)
+        if not arrays:
+            serialised["normalized_profiles"] = [
+                [None if value != value else value for value in row]
+                for row in serialised["normalized_profiles"]
+            ]
         return ("pan_profile", serialised)
     if isinstance(payload, JoinProfile):
-        return ("join_profile", payload.as_dict())
+        return ("join_profile", payload.as_dict(arrays=arrays))
     if isinstance(payload, (int, float)):
         return ("scalar", float(payload))
     if isinstance(payload, list) and all(
@@ -249,7 +257,7 @@ def _payload_as_dict(kind: str, payload: Any) -> tuple[str, Any]:
 
 
 def _payload_from_dict(payload_type: str, data: Any) -> Any:
-    """Inverse of :func:`_payload_as_dict`."""
+    """Inverse of :func:`_payload_as_dict` (arrays or lists alike)."""
     if payload_type == "matrix_profile":
         return MatrixProfile(
             distances=np.asarray(data["distances"], dtype=np.float64),
@@ -276,13 +284,13 @@ def _payload_from_dict(payload_type: str, data: Any) -> Any:
             extra=dict(data.get("extra", {})),
         )
     if payload_type == "pan_profile":
-        normalized = np.asarray(
-            [
+        normalized = data["normalized_profiles"]
+        if not isinstance(normalized, np.ndarray):
+            normalized = [
                 [np.nan if value is None else float(value) for value in row]
-                for row in data["normalized_profiles"]
-            ],
-            dtype=np.float64,
-        )
+                for row in normalized
+            ]
+        normalized = np.asarray(normalized, dtype=np.float64)
         return PanMatrixProfile(
             lengths=np.asarray(data["lengths"], dtype=np.int64),
             normalized_profiles=normalized,
@@ -396,9 +404,16 @@ class AnalysisResult:
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #
-    def as_dict(self) -> dict:
-        """Plain-dict (JSON-ready) form of the envelope."""
-        payload_type, payload = _payload_as_dict(self.kind, self.payload)
+    def as_dict(self, *, arrays: bool = False) -> dict:
+        """Plain-dict (JSON-ready) form of the envelope.
+
+        ``arrays=True`` keeps the payload's numpy arrays as arrays, for
+        :func:`repro.io.frame.encode_frame`; :meth:`from_dict` reads both
+        forms.
+        """
+        payload_type, payload = _payload_as_dict(
+            self.kind, self.payload, arrays=arrays
+        )
         return {
             "kind": self.kind,
             "algo": self.algo,

@@ -403,19 +403,18 @@ class Analysis:
     def _cache_store(self, key: str, result: AnalysisResult) -> None:
         """Insert one computed envelope into the memory cache and the spill.
 
-        The envelope is serialised exactly once: the dict form feeds both
-        the byte-size accounting and the persistent spill file.
+        The envelope is encoded exactly once: the JSON text is both the
+        byte size the memory cache counts (``json.dumps`` escapes anything
+        non-ASCII, so its characters are its bytes) and the spill file's
+        content.
         """
         try:
-            document = result.as_dict()
+            text = json.dumps(result.as_dict(), sort_keys=True)
         except SerializationError:
             return
-        size = len(json.dumps(document, sort_keys=True).encode("utf-8"))
-        self._results.put(key, result, size)
+        self._results.put(key, result, len(text))
         if self._persistent is not None:
-            self._persistent.store(
-                self.series_digest, key, result, result_dict=document
-            )
+            self._persistent.store(self.series_digest, key, result, result_json=text)
 
     def _index_computed(self, spec, request: AnalysisRequest, key, result) -> None:
         """Catalog one freshly-computed result in the session's motif index.

@@ -368,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.JSON",
         help="collect a hierarchical trace of the request — including the "
         "server-side spans propagated back over X-Repro-Trace — and write "
-        "it as Chrome trace-event JSON",
+        "it as Chrome trace-event JSON; the server's Server-Timing phases "
+        "go to stderr",
     )
 
     metrics = subparsers.add_parser(
@@ -761,6 +762,12 @@ def _command_request(args: argparse.Namespace) -> int:
                 series_name=series.name,
                 transport=getattr(args, "transport", "digest"),
             )
+        if args.trace and client.server_timing:
+            # Where the server's time went (stdout stays the JSON document).
+            phases = ", ".join(
+                f"{name} {ms:.3f} ms" for name, ms in client.server_timing.items()
+            )
+            print(f"server timing: {phases}", file=sys.stderr)
         ServiceClient._raise_for_status(status, payload, "analysis request failed")
     document = payload["result"]
     document["cache"] = str(payload.get("cache", "unknown"))

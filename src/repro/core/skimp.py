@@ -194,15 +194,22 @@ class PanMatrixProfile:
         """For every position, the evaluated length with the smallest normalised distance."""
         return np.array(self.collapse().length_profile)
 
-    def as_dict(self) -> dict:
-        """Plain-dict form for reports and serialization."""
+    def as_dict(self, *, arrays: bool = False) -> dict:
+        """Plain-dict form for reports and serialization (``arrays=True``
+        keeps the numpy arrays rather than listing them)."""
         return {
             "min_length": self.min_length,
             "max_length": self.max_length,
-            "lengths": self.lengths.tolist(),
+            "lengths": self.lengths if arrays else self.lengths.tolist(),
             "elapsed_seconds": self.elapsed_seconds,
-            "normalized_profiles": self.normalized_profiles.tolist(),
-            "index_profiles": self.index_profiles.tolist(),
+            "normalized_profiles": (
+                self.normalized_profiles
+                if arrays
+                else self.normalized_profiles.tolist()
+            ),
+            "index_profiles": (
+                self.index_profiles if arrays else self.index_profiles.tolist()
+            ),
         }
 
 

@@ -1,6 +1,11 @@
-"""Persistence of analysis artefacts (profiles, joins, pan profiles, VALMAP, results)."""
+"""Persistence of analysis artefacts (profiles, joins, pan profiles, VALMAP, results).
+
+:mod:`repro.io.frame` holds the binary frame the service answers in when a
+client asks for it.
+"""
 
 from repro.io.serialization import (
+    cache_entry_result_bytes,
     load_analysis_request,
     load_analysis_result,
     load_cache_entry,
@@ -20,6 +25,7 @@ from repro.io.serialization import (
 )
 
 __all__ = [
+    "cache_entry_result_bytes",
     "load_analysis_request",
     "load_analysis_result",
     "load_cache_entry",

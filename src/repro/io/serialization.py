@@ -45,17 +45,22 @@ __all__ = [
     "load_analysis_result",
     "save_cache_entry",
     "load_cache_entry",
+    "cache_entry_result_bytes",
 ]
 
 PathLike = Union[str, Path]
 
 
 def _write_json(payload: dict, path: PathLike) -> Path:
-    # Atomic write: dump to a unique sibling temp file, then rename over the
-    # target.  Concurrent readers (the persistent result cache is shared
-    # between processes by design) only ever see complete files, and two
-    # concurrent writers cannot interleave into garbage — the last rename
-    # wins wholesale.
+    return _write_atomic(path, lambda handle: json.dump(payload, handle, indent=2))
+
+
+def _write_atomic(path: PathLike, write) -> Path:
+    # Atomic write: ``write(handle)`` fills a unique sibling temp file, which
+    # is then renamed over the target.  Concurrent readers (the persistent
+    # result cache is shared between processes by design) only ever see
+    # complete files, and two concurrent writers cannot interleave into
+    # garbage — the last rename wins wholesale.
     path = Path(path)
     temp_name = None
     try:
@@ -69,7 +74,7 @@ def _write_json(payload: dict, path: PathLike) -> Path:
             delete=False,
         ) as handle:
             temp_name = handle.name
-            json.dump(payload, handle, indent=2)
+            write(handle)
         os.replace(temp_name, path)
         temp_name = None
     except (OSError, TypeError, ValueError) as error:
@@ -185,8 +190,16 @@ def load_analysis_result(path: PathLike):
     return AnalysisResult.from_dict(payload.get("result", {}))
 
 
+def _cache_entry_head(key: str) -> str:
+    # The slot object up to its "result" value; save_cache_entry closes it.
+    return (
+        '{"kind": "analysis_cache_entry", '
+        f'"cache_key": {json.dumps(str(key))}, "result": '
+    )
+
+
 def save_cache_entry(
-    result, key: str, path: PathLike, *, result_dict: dict | None = None
+    result, key: str, path: PathLike, *, result_json: str | None = None
 ) -> Path:
     """Write one persistent-cache slot: an envelope plus its canonical key.
 
@@ -194,15 +207,25 @@ def save_cache_entry(
     the slot really answers the request being asked (filename hashes alone
     cannot), which is what lets
     :class:`repro.api.cache.PersistentResultCache` treat any mismatch as a
-    miss instead of returning a wrong result.  ``result_dict`` optionally
-    reuses an already-computed ``result.as_dict()``.
+    miss instead of returning a wrong result.  ``result_json`` optionally
+    reuses an already-encoded ``json.dumps(result.as_dict(), sort_keys=True)``:
+    the slot is that text wrapped in the ``kind``/``cache_key`` object, with
+    no indentation, so writing it encodes nothing again.
     """
-    payload = {
-        "kind": "analysis_cache_entry",
-        "cache_key": str(key),
-        "result": result.as_dict() if result_dict is None else result_dict,
-    }
-    return _write_json(payload, path)
+    if result_json is None:
+        try:
+            result_json = json.dumps(result.as_dict(), sort_keys=True)
+        except (TypeError, ValueError) as error:
+            raise SerializationError(f"cannot write {path}: {error}") from error
+    head = _cache_entry_head(key)
+    return _write_atomic(path, lambda handle: handle.writelines((head, result_json, "}")))
+
+
+def cache_entry_result_bytes(key: str, file_bytes: int) -> int:
+    """The size of the result text inside a slot of ``file_bytes`` bytes
+    written by :func:`save_cache_entry` for ``key``: the bytes the computed
+    result was counted at."""
+    return file_bytes - len(_cache_entry_head(key)) - len("}")
 
 
 def load_cache_entry(path: PathLike):

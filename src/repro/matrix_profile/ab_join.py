@@ -104,12 +104,13 @@ class JoinProfile:
                 break
         return matches
 
-    def as_dict(self) -> dict:
-        """Plain-dict form for reports and serialization."""
+    def as_dict(self, *, arrays: bool = False) -> dict:
+        """Plain-dict form for reports and serialization (``arrays=True``
+        keeps the numpy arrays rather than listing them)."""
         return {
             "window": self.window,
-            "distances": self.distances.tolist(),
-            "indices": self.indices.tolist(),
+            "distances": self.distances if arrays else self.distances.tolist(),
+            "indices": self.indices if arrays else self.indices.tolist(),
         }
 
 

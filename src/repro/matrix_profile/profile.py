@@ -201,11 +201,12 @@ class MatrixProfile:
             apply_exclusion_zone(working, offset, radius, value=-np.inf)
         return discords
 
-    def as_dict(self) -> dict:
-        """Plain-dict form used by serialization."""
+    def as_dict(self, *, arrays: bool = False) -> dict:
+        """Plain-dict form used by serialization (``arrays=True`` keeps the
+        numpy arrays rather than listing them)."""
         return {
             "window": self.window,
             "exclusion_radius": self.exclusion_radius,
-            "distances": self.distances.tolist(),
-            "indices": self.indices.tolist(),
+            "distances": self.distances if arrays else self.distances.tolist(),
+            "indices": self.indices if arrays else self.indices.tolist(),
         }

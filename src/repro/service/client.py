@@ -22,6 +22,11 @@ Two transport behaviours distinguish it from a naive poster:
   this client or any other — is a few hundred bytes.  ``analyze_raw(...,
   transport="values")`` keeps the old inline-values document for callers
   that need it (e.g. servers predating the digest protocol).
+* **Binary answers** — :meth:`analyze` asks for the binary frame of
+  :mod:`repro.io.frame` through ``Accept``, so a profile arrives as raw
+  arrays instead of ~100 KB of JSON.  Every response is decoded by its
+  ``Content-Type``, so a server that answers JSON works all the same;
+  :meth:`analyze_raw` asks for nothing and gets the JSON document.
 """
 
 from __future__ import annotations
@@ -37,9 +42,31 @@ from repro import obs
 from repro.api.cache import series_digest
 from repro.api.requests import AnalysisRequest, AnalysisResult
 from repro.exceptions import InvalidParameterError, SerializationError, ServiceError
+from repro.io.frame import MEDIA_TYPE as FRAME_MEDIA_TYPE
+from repro.io.frame import decode_frame
 from repro.series.dataseries import DataSeries
 
 __all__ = ["ServiceClient", "parse_service_url"]
+
+#: What :meth:`ServiceClient.analyze` accepts: the frame, else JSON.
+_FRAME_ACCEPT = f"{FRAME_MEDIA_TYPE}, application/json"
+
+
+def _parse_server_timing(value: str) -> dict:
+    """A ``Server-Timing`` header value → ``{name: milliseconds}``.
+
+    Entries without a parseable ``dur`` are dropped."""
+    timing = {}
+    for entry in value.split(","):
+        name, *params = (part.strip() for part in entry.split(";"))
+        for param in params:
+            key, _, number = param.partition("=")
+            if name and key.strip().lower() == "dur":
+                try:
+                    timing[name] = float(number)
+                except ValueError:
+                    pass
+    return timing
 
 
 def parse_service_url(url: str) -> Tuple[str, int]:
@@ -87,6 +114,9 @@ class ServiceClient:
         self._port = int(port)
         self._timeout = float(timeout)
         self._connection: HTTPConnection | None = None
+        #: The last ``Server-Timing`` header received (every ``/analyze``
+        #: answer carries one), parsed to ``{phase: milliseconds}``.
+        self.server_timing: dict = {}
 
     @classmethod
     def from_url(cls, url: str, *, timeout: float = 60.0) -> "ServiceClient":
@@ -124,8 +154,13 @@ class ServiceClient:
         body: bytes | None = None,
         *,
         content_type: str = "application/json",
+        accept: str | None = None,
     ) -> Tuple[int, Any]:
         """One request/response over the kept-alive connection.
+
+        The response is decoded by its ``Content-Type``: a binary frame
+        (asked for through ``accept``) into a document with numpy arrays,
+        anything else as JSON.
 
         A failure on a *reused* connection (the server may have dropped it
         at the keep-alive idle timeout) is retried exactly once on a fresh
@@ -143,6 +178,8 @@ class ServiceClient:
             connection = self._connection
             try:
                 headers = {"Content-Type": content_type} if body else {}
+                if accept is not None:
+                    headers["Accept"] = accept
                 # When a trace is being collected client-side, every request
                 # carries the current trace position so server-side spans
                 # (queue wait, session run, engine blocks, kernel sweeps —
@@ -155,6 +192,10 @@ class ServiceClient:
                 response = connection.getresponse()
                 raw = response.read()
                 status = response.status
+                media_type = response.getheader("Content-Type", "")
+                timing = response.getheader("Server-Timing")
+                if timing is not None:
+                    self.server_timing = _parse_server_timing(timing)
                 if response.will_close:
                     self.close()
                 break
@@ -164,6 +205,13 @@ class ServiceClient:
                     continue  # stale keep-alive socket: one fresh retry
                 raise ServiceError(
                     f"cannot reach the analysis service at {self.base_url}: {error}"
+                ) from error
+        if media_type.split(";", 1)[0].strip().lower() == FRAME_MEDIA_TYPE:
+            try:
+                return status, decode_frame(raw)
+            except SerializationError as error:
+                raise ServiceError(
+                    f"the service returned a malformed frame (status {status}): {error}"
                 ) from error
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
@@ -310,43 +358,62 @@ class ServiceClient:
         already has (a prior upload, the server's store): the submission is
         digest-only, the caller never holds the values, and an unknown
         digest stays a 404 — there is nothing to upload.
+
+        The request asks for no binary frame, so the document is the
+        server's JSON, JSON-serialisable as it stands.
         """
+        return self._submit(
+            series,
+            request,
+            series_name=series_name,
+            request_id=request_id,
+            transport=transport,
+            accept=None,
+        )
+
+    def _submit(
+        self,
+        series,
+        request: AnalysisRequest | dict,
+        *,
+        series_name: str | None,
+        request_id: str | None,
+        transport: str,
+        accept: str | None,
+    ) -> Tuple[int, dict]:
+        """The digest negotiation behind :meth:`analyze_raw` and
+        :meth:`analyze`; ``accept`` is the ``Accept`` of every POST."""
         if transport not in ("digest", "values"):
             raise InvalidParameterError(
                 f"transport must be 'digest' or 'values', got {transport!r}"
             )
+        if isinstance(request, AnalysisRequest):
+            request_document = request.as_dict()
+        else:
+            request_document = dict(request)
+        document: dict = {"request": request_document}
         if isinstance(series, str):
             if transport == "values":
                 raise InvalidParameterError(
                     "a digest-string series cannot use transport='values' "
                     "(the client does not hold the values)"
                 )
-            if isinstance(request, AnalysisRequest):
-                request_document = request.as_dict()
-            else:
-                request_document = dict(request)
-            document = {"request": request_document, "series_digest": series}
-            if series_name is not None:
-                document["series_name"] = series_name
-            if request_id is not None:
-                document["id"] = request_id
-            return self._post_analyze(document)
-        values, name = self._coerce_series(series, series_name)
-        if isinstance(request, AnalysisRequest):
-            request_document = request.as_dict()
+            document["series_digest"] = series
+            name = series_name
         else:
-            request_document = dict(request)
-        document: dict = {"request": request_document}
+            values, name = self._coerce_series(series, series_name)
         if name is not None:
             document["series_name"] = name
         if request_id is not None:
             document["id"] = request_id
+        if isinstance(series, str):
+            return self._post_analyze(document, accept)
         if transport == "values":
             document["series"] = values.tolist()
-            return self._post_analyze(document)
+            return self._post_analyze(document, accept)
         digest = series_digest(values)
         document["series_digest"] = digest
-        status, payload = self._post_analyze(document)
+        status, payload = self._post_analyze(document, accept)
         if (
             status == 404
             and isinstance(payload, dict)
@@ -355,12 +422,12 @@ class ServiceClient:
             # First contact for this series: upload once, retry once.  Every
             # later request (from any client) rides the digest alone.
             self.put_series(values, series_name=name, digest=digest)
-            status, payload = self._post_analyze(document)
+            status, payload = self._post_analyze(document, accept)
         return status, payload
 
-    def _post_analyze(self, document: dict) -> Tuple[int, dict]:
+    def _post_analyze(self, document: dict, accept: str | None) -> Tuple[int, dict]:
         status, payload = self._exchange(
-            "POST", "/analyze", json.dumps(document).encode("utf-8")
+            "POST", "/analyze", json.dumps(document).encode("utf-8"), accept=accept
         )
         if isinstance(payload, dict):
             # Server-side spans ride home in the response; fold them into
@@ -383,7 +450,9 @@ class ServiceClient:
         """Submit one request; returns ``(envelope, cache_source)``.
 
         ``cache_source`` is the server's ``"memory"`` / ``"persistent"`` /
-        ``"computed"`` marker.  Raises
+        ``"computed"`` marker.  The answer comes as a binary frame when the
+        server offers one (JSON otherwise); the envelope's arrays are
+        writeable and bit-identical either way.  Raises
         :class:`~repro.exceptions.ServiceError` (with the HTTP status) on
         any non-200 response.
         """
@@ -393,8 +462,13 @@ class ServiceClient:
             else dict(request).get("kind")
         )
         with obs.span("client.analyze", kind=kind):
-            status, payload = self.analyze_raw(
-                series, request, series_name=series_name, request_id=request_id
+            status, payload = self._submit(
+                series,
+                request,
+                series_name=series_name,
+                request_id=request_id,
+                transport="digest",
+                accept=_FRAME_ACCEPT,
             )
         self._raise_for_status(status, payload, "analysis request failed")
         try:

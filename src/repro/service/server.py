@@ -80,7 +80,8 @@ Protocol
 ``GET /query``          motif/discord catalog query (percent-encoded
                         ``kind``/``digest``/``name``/``length``/… params)
 ``POST /analyze``       ``{"series": [...] | "series_digest": "...",``
-                        ``"request": {...}}`` → envelope
+                        ``"request": {...}}`` → envelope (JSON, or a
+                        binary frame when ``Accept`` names it)
 ======================= ==================================================
 
 Connections are **persistent** (HTTP/1.1 keep-alive): a client may issue
@@ -94,6 +95,15 @@ The ``/analyze`` response wraps the envelope:
 ``error`` field: ``400`` for malformed documents, ``404`` for unknown
 digests, ``422`` for requests the library rejects (unknown parameters
 included), ``503`` when the queue is full or the service is stopping.
+
+Answer encoding
+---------------
+The worker thread that ran a job encodes its ``200`` answer once, so the
+event loop only writes bytes.  JSON is the default; a request whose
+``Accept`` names :data:`repro.io.frame.MEDIA_TYPE` gets the same document
+as a binary frame, its arrays as raw little-endian bytes.  Errors stay JSON
+either way.  Every ``/analyze`` answer carries ``Server-Timing: queue;dur=…,
+execute;dur=…, encode;dur=…`` in milliseconds.
 """
 
 from __future__ import annotations
@@ -107,7 +117,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 from urllib.parse import parse_qsl, unquote
 
@@ -128,6 +138,8 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.index import MotifIndex, QuerySpec
+from repro.io.frame import MEDIA_TYPE as FRAME_MEDIA_TYPE
+from repro.io.frame import accepts_frame, encode_frame
 from repro.matrix_profile import _native
 from repro.matrix_profile.kernels import resolve_kernel
 from repro.store import DEFAULT_STORE_MAX_BYTES, SeriesStore
@@ -165,9 +177,16 @@ _COMPLETION_HISTORY = 4096
 #: wire shape (`/metrics` ``bounds``) pinned to it by construction.
 _LATENCY_BUCKET_BOUNDS = obs.LATENCY_BUCKET_BOUNDS
 #: The phases each /analyze job is timed over: queue wait (enqueue to
-#: dequeue), execute (dequeue to completion) and total (receipt to
-#: completion — what the client experiences minus the socket).
+#: dequeue), execute (dequeue to a result, the response encode excluded)
+#: and total (receipt to the encoded answer — what the client experiences
+#: minus the socket).
 _METRIC_PHASES = ("queue", "execute", "total")
+#: The phases a ``Server-Timing`` header reports for each ``/analyze``
+#: answer: the first two above, and the response encode.
+_TIMING_PHASES = ("queue", "execute", "encode")
+#: Request headers the server reads beyond the framing ones.
+_TRACE_HEADER = obs.TRACE_HEADER.lower()
+_KEPT_HEADERS = (_TRACE_HEADER, "accept")
 
 #: How many ``/metrics`` snapshots the service retains for ``?since=``
 #: windowing.  A scraper that falls more than this many scrapes behind gets
@@ -498,6 +517,41 @@ class _Job:
     #: Parsed ``X-Repro-Trace`` payload (or ``None``): the executing path
     #: adopts it so server-side spans join the client's trace tree.
     trace: object = None
+    #: The request's ``Accept`` names the binary frame.
+    frame: bool = False
+    #: Seconds per ``Server-Timing`` phase, filled in as the job runs; the
+    #: connection handler reads the same dict when it writes the answer.
+    timing: dict = field(default_factory=lambda: dict.fromkeys(_TIMING_PHASES, 0.0))
+
+
+@dataclass(frozen=True)
+class _Encoded:
+    """A response body encoded off the event loop, and its media type."""
+
+    body: bytes
+    content_type: str
+
+
+def _encode_payload(payload: dict, frame: bool) -> _Encoded:
+    """One ``/analyze`` answer (``payload["result"]`` an envelope object) as
+    a binary frame when ``frame`` is set and the envelope fits one, else as
+    the JSON document."""
+    result = payload["result"]
+    if frame:
+        try:
+            body = encode_frame({**payload, "result": result.as_dict(arrays=True)})
+            return _Encoded(body, FRAME_MEDIA_TYPE)
+        except SerializationError:
+            pass  # an array the frame cannot carry: answer JSON
+    body = json.dumps({**payload, "result": result.as_dict()}).encode("utf-8")
+    return _Encoded(body, "application/json")
+
+
+def _server_timing(timing: dict) -> str:
+    """A ``Server-Timing`` header value, in milliseconds."""
+    return ", ".join(
+        f"{phase};dur={1000.0 * timing.get(phase, 0.0):.3f}" for phase in _TIMING_PHASES
+    )
 
 
 @dataclass(frozen=True)
@@ -552,22 +606,23 @@ def _worker_session(task: _WorkerTask) -> Analysis:
 def _execute_worker_task(task: _WorkerTask) -> dict:
     """Run one task inside a worker process (top level: must be picklable).
 
-    Returns the result envelope as a JSON-ready dict — the parent adopts it
-    into its pooled session.  :class:`~repro.exceptions.ReproError` crosses
-    the pool boundary as-is (the hierarchy pickles), keeping the parent's
-    error mapping identical to the thread path.
+    Returns the result envelope as a dict whose arrays stay arrays (they
+    pickle as raw bytes) — the parent adopts it into its pooled session.
+    :class:`~repro.exceptions.ReproError` crosses the pool boundary as-is
+    (the hierarchy pickles), keeping the parent's error mapping identical to
+    the thread path.
     """
     if task.trace is None:
         session = _worker_session(task)
         request = AnalysisRequest.from_dict(task.request)
         result, source = session.run_with_info(request)
-        return {"cache": source, "result": result.as_dict()}
+        return {"cache": source, "result": result.as_dict(arrays=True)}
     with obs.remote_task(task.trace, skip_same_process=True) as remote:
         with obs.span("service.worker", kind=task.request.get("kind")):
             session = _worker_session(task)
             request = AnalysisRequest.from_dict(task.request)
             result, source = session.run_with_info(request)
-    document = {"cache": source, "result": result.as_dict()}
+    document = {"cache": source, "result": result.as_dict(arrays=True)}
     blob = remote.harvest()
     if blob is not None:
         document["obs"] = blob
@@ -788,14 +843,9 @@ class AnalysisService:
             # Registered before any await so stop() can fail this job's
             # future if the service dies mid-computation.
             self._inflight[job.sequence] = job
-            dequeued = time.monotonic()
+            job.timing["queue"] = time.monotonic() - job.enqueued_at
             try:
-                if self._compute is not None:
-                    payload = await self._execute_job_process(job, loop)
-                else:
-                    payload = await loop.run_in_executor(
-                        self._executor, self._execute_job, job
-                    )
+                answer = await self._run_job(job, loop)
             except asyncio.CancelledError:
                 # Only stop()/_unwind_start() cancel workers: the abandoned
                 # job must still answer, or its connection (and client)
@@ -818,26 +868,42 @@ class AnalysisService:
                         ServiceError(f"internal error: {error}", status=500)
                     )
             else:
-                done = time.monotonic()
                 self._completed += 1
                 _REQUESTS_COMPLETED.inc()
                 self._completion_order.append(job.sequence)
                 self._metrics.observe(
                     job.request.kind,
-                    queue=dequeued - job.enqueued_at,
-                    execute=done - dequeued,
-                    total=done - job.received_at,
+                    queue=job.timing["queue"],
+                    execute=job.timing["execute"],
+                    total=time.monotonic() - job.received_at,
                 )
                 if not job.future.done():
-                    job.future.set_result(payload)
+                    job.future.set_result(answer)
             finally:
                 self._inflight.pop(job.sequence, None)
                 self._queue.task_done()
 
-    def _execute_job(self, job: _Job) -> dict:
-        """Runs on an executor thread: resolve the session, run, envelope."""
+    async def _run_job(self, job: _Job, loop) -> _Encoded:
+        """Execute one dequeued job and encode its answer off the loop."""
+        started = time.monotonic()
+        try:
+            if self._compute is None:
+                return await loop.run_in_executor(
+                    self._executor, self._execute_job, job
+                )
+            payload = await self._execute_job_process(job, loop)
+            return await loop.run_in_executor(
+                self._executor, self._encode_answer, job, payload
+            )
+        finally:
+            job.timing["execute"] = max(
+                0.0, time.monotonic() - started - job.timing["encode"]
+            )
+
+    def _execute_job(self, job: _Job) -> _Encoded:
+        """Runs on an executor thread: resolve the session, run, encode."""
         if job.trace is None:
-            return self._execute_job_inner(job)
+            return self._encode_answer(job, self._execute_job_inner(job))
         # Same-process adoption: metric recordings already land in the live
         # registry, so only span events are captured and shipped back (in
         # the response envelope's "trace" key, for the client to absorb).
@@ -850,7 +916,7 @@ class AnalysisService:
         blob = remote.harvest()
         if blob is not None and blob.get("events"):
             payload["trace"] = {"events": blob["events"]}
-        return payload
+        return self._encode_answer(job, payload)
 
     def _execute_job_inner(self, job: _Job) -> dict:
         session, lock = self._pool.get_or_create(
@@ -858,12 +924,33 @@ class AnalysisService:
         )
         with lock:
             result, source = session.run_with_info(job.request)
+        return self._answer_payload(job, source, result)
+
+    @staticmethod
+    def _answer_payload(job: _Job, source: str, result: AnalysisResult) -> dict:
+        """The ``/analyze`` document, its envelope not yet encoded."""
         return {
             "id": job.request_id,
             "series_digest": job.digest,
             "cache": source,
-            "result": result.as_dict(),
+            "result": result,
         }
+
+    @staticmethod
+    def _encode_answer(job: _Job, payload: dict) -> _Encoded:
+        """Encode one 200 answer on the executor thread that ran its job.
+
+        The ``service.encode`` span joins the request's trace in this
+        process's own trace sink: it cannot ride home inside the body it
+        encodes.  Its duration travels in the ``Server-Timing`` header.
+        """
+        with obs.remote_task(job.trace, capture_metrics=False) as remote:
+            with obs.span("service.encode", frame=job.frame):
+                started = time.perf_counter()
+                answer = _encode_payload(payload, job.frame)
+                job.timing["encode"] = time.perf_counter() - started
+        obs.absorb(remote.harvest())
+        return answer
 
     @staticmethod
     def _record_queue_span(job: _Job) -> None:
@@ -894,13 +981,7 @@ class AnalysisService:
                 payload = await self._process_plane(job, loop)
         blob = remote.harvest()
         if blob is not None and blob.get("events"):
-            events = list(blob["events"])
-            existing = payload.get("trace")
-            if existing and existing.get("events"):
-                # The serialization fallback already attached a thread-path
-                # tree; keep both sides' spans.
-                events.extend(existing["events"])
-            payload["trace"] = {"events": events}
+            payload["trace"] = {"events": blob["events"]}
         return payload
 
     async def _process_plane(self, job: _Job, loop) -> dict:
@@ -920,11 +1001,9 @@ class AnalysisService:
             request_dict = job.request.as_dict()
         except SerializationError:
             # Params that resist JSON resist pickling predictably too; the
-            # thread path computes them in-process.  The trace is stripped:
-            # the caller already opened the request span, and _execute_job
-            # would otherwise start a second tree for the same job.
+            # thread path computes them in-process.
             return await loop.run_in_executor(
-                self._executor, self._execute_job, replace(job, trace=None)
+                self._executor, self._execute_job_inner, job
             )
         series_ref: object = job.values
         if self._store is not None:
@@ -978,37 +1057,27 @@ class AnalysisService:
         if hit is None:
             return None
         result, source = hit
-        return {
-            "id": job.request_id,
-            "series_digest": job.digest,
-            "cache": source,
-            "result": result.as_dict(),
-        }
+        return self._answer_payload(job, source, result)
 
     def _adopt_computed(self, job: _Job, document: dict) -> dict:
         """Executor thread: fold a worker's envelope into the parent session.
 
         Adoption feeds the parent's cache tiers and motif index so the next
         identical request hits ``"memory"`` without a process round-trip.
-        A result that will not rebuild is still answered — adoption is an
-        optimisation, not a correctness gate.
         """
-        payload = {
-            "id": job.request_id,
-            "series_digest": job.digest,
-            "cache": document["cache"],
-            "result": document["result"],
-        }
         try:
             result = AnalysisResult.from_dict(document["result"])
-        except (SerializationError, KeyError, TypeError, ValueError):
-            return payload
+        except (SerializationError, KeyError, TypeError, ValueError) as error:
+            raise ServiceError(
+                f"a worker process returned an invalid result envelope: {error}",
+                status=500,
+            ) from error
         session, lock = self._pool.get_or_create(
             job.digest, job.values, job.series_name
         )
         with lock:
             session.adopt_result(job.request, result)
-        return payload
+        return self._answer_payload(job, document["cache"], result)
 
     # ------------------------------------------------------------------ #
     # HTTP layer
@@ -1035,10 +1104,16 @@ class AnalysisService:
                 if head is None:
                     return  # clean close or idle timeout between requests
                 first = False
-                method, target, content_length, keep_alive, trace_header = head
+                method, target, content_length, keep_alive, headers = head
+                # Every /analyze answer reports its phases in Server-Timing.
+                timing = (
+                    dict.fromkeys(_TIMING_PHASES, 0.0)
+                    if method == "POST" and target.split("?", 1)[0] == "/analyze"
+                    else None
+                )
                 try:
                     status, payload = await self._dispatch(
-                        method, target, content_length, reader, trace_header
+                        method, target, content_length, reader, headers, timing
                     )
                 except (
                     asyncio.IncompleteReadError,
@@ -1058,7 +1133,7 @@ class AnalysisService:
                 except ReproError as error:
                     status, payload = 422, {"error": str(error)}
                 keep_alive = keep_alive and not self._stopping
-                if not await self._respond(writer, status, payload, keep_alive):
+                if not await self._respond(writer, status, payload, keep_alive, timing):
                     return
         except (
             ServiceError,
@@ -1082,8 +1157,9 @@ class AnalysisService:
         target: str,
         content_length: int,
         reader: asyncio.StreamReader,
-        trace_header: str | None = None,
-    ) -> Tuple[int, dict]:
+        headers: Dict[str, str],
+        timing: "Dict[str, float] | None",
+    ) -> Tuple[int, "dict | _Encoded"]:
         """Route one request, deciding how its body is consumed.
 
         ``PUT /series/<digest>`` streams the body straight into the store's
@@ -1108,19 +1184,19 @@ class AnalysisService:
                     timeout=_BODY_TIMEOUT_SECONDS,
                 )
         return await self._route(
-            method, path, body, target.partition("?")[2], trace_header
+            method, path, body, target.partition("?")[2], headers, timing
         )
 
     async def _read_head(
         self, reader: asyncio.StreamReader, *, idle_ok: bool
-    ) -> Tuple[str, str, int, bool, "str | None"] | None:
+    ) -> Tuple[str, str, int, bool, Dict[str, str]] | None:
         """Read one request line + headers.
 
         Returns ``(method, path_with_query, content_length, keep_alive,
-        trace_header)``,
-        or ``None`` for a connection that ended cleanly: EOF before the
-        request line, or (between keep-alive requests, ``idle_ok``) an idle
-        timeout.  Reading happens WITHOUT an intake permit (an idle socket
+        headers)``, where ``headers`` maps the lower-cased ``accept`` and
+        trace header names to their values, or ``None`` for a connection
+        that ended cleanly: EOF before the request line, or (between
+        keep-alive requests, ``idle_ok``) an idle timeout.  Reading happens WITHOUT an intake permit (an idle socket
         must not starve /health or the 503 path) but under timeouts, so a
         silent connection cannot pin this handler forever.
         """
@@ -1143,7 +1219,7 @@ class AnalysisService:
         # client to opt in.  A Connection: close header always wins.
         keep_alive = version.upper() == "HTTP/1.1"
         content_length = 0
-        trace_header: "str | None" = None
+        headers: Dict[str, str] = {}
         while True:
             line = await asyncio.wait_for(
                 reader.readline(), timeout=_HEADER_TIMEOUT_SECONDS
@@ -1156,8 +1232,8 @@ class AnalysisService:
             name = name.strip().lower()
             if name == "content-length":
                 content_length = int(value.strip())
-            elif name == obs.TRACE_HEADER.lower():
-                trace_header = value.strip()
+            elif name in _KEPT_HEADERS:
+                headers[name] = value.strip()
             elif name == "connection":
                 token = value.strip().lower()
                 if token == "close":
@@ -1176,16 +1252,22 @@ class AnalysisService:
         )
         if content_length < 0 or content_length > cap:
             raise ServiceError("invalid content length", status=400)
-        return method, target, content_length, keep_alive, trace_header
+        return method, target, content_length, keep_alive, headers
 
     async def _respond(
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict,
+        payload: "dict | _Encoded",
         keep_alive: bool,
+        timing: "Dict[str, float] | None" = None,
     ) -> bool:
-        """Write one response; returns whether the connection stays open."""
+        """Write one response; returns whether the connection stays open.
+
+        A ``payload`` a worker already encoded is written as it is; a dict
+        is encoded as JSON here.  With ``timing`` (an ``/analyze`` answer)
+        the response carries a ``Server-Timing`` header.
+        """
         reasons = {
             200: "OK",
             400: "Bad Request",
@@ -1196,11 +1278,19 @@ class AnalysisService:
             500: "Internal Server Error",
             503: "Service Unavailable",
         }
-        body = json.dumps(payload).encode("utf-8")
+        if isinstance(payload, _Encoded):
+            body, content_type = payload.body, payload.content_type
+        else:
+            started = time.perf_counter()
+            body, content_type = json.dumps(payload).encode("utf-8"), "application/json"
+            if timing is not None:
+                timing["encode"] = time.perf_counter() - started
+        extra = "" if timing is None else f"Server-Timing: {_server_timing(timing)}\r\n"
         head = (
             f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
+            f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
+            f"{extra}"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         ).encode("latin-1")
         try:
@@ -1215,9 +1305,10 @@ class AnalysisService:
         method: str,
         path: str,
         body: bytes,
-        query: str = "",
-        trace_header: "str | None" = None,
-    ) -> Tuple[int, dict]:
+        query: str,
+        headers: Dict[str, str],
+        timing: "Dict[str, float] | None",
+    ) -> Tuple[int, "dict | _Encoded"]:
         if method == "GET" and path.startswith("/series/"):
             return self._handle_series_get(path)
         if method == "GET" and path == "/health":
@@ -1239,7 +1330,7 @@ class AnalysisService:
         if method == "GET" and path == "/query":
             return await self._handle_query(query)
         if method == "POST" and path == "/analyze":
-            return await self._handle_analyze(body, trace_header)
+            return await self._handle_analyze(body, headers, timing)
         if path in (
             "/health",
             "/capabilities",
@@ -1480,8 +1571,14 @@ class AnalysisService:
             remaining -= len(chunk)
 
     async def _handle_analyze(
-        self, body: bytes, trace_header: "str | None" = None
-    ) -> Tuple[int, dict]:
+        self, body: bytes, headers: Dict[str, str], timing: Dict[str, float]
+    ) -> Tuple[int, "dict | _Encoded"]:
+        """Parse, resolve and enqueue one submission; await its answer.
+
+        The answer is encoded by the worker that ran the job: a binary
+        frame when ``Accept`` names it, else JSON.  ``timing`` (the
+        connection's ``Server-Timing`` phases) is filled in as the job runs.
+        """
         received_at = time.monotonic()
         self._received += 1
         _REQUESTS_RECEIVED.inc()
@@ -1546,7 +1643,9 @@ class AnalysisService:
             request=request,
             future=asyncio.get_running_loop().create_future(),
             received_at=received_at,
-            trace=obs.parse_trace_header(trace_header),
+            trace=obs.parse_trace_header(headers.get(_TRACE_HEADER)),
+            frame=accepts_frame(headers.get("accept")),
+            timing=timing,
         )
         try:
             job.enqueued_at = time.monotonic()

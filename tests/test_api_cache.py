@@ -242,6 +242,27 @@ class TestPersistentCache:
             third.run(_request(24)).profile().distances,
         )
 
+    def test_spill_hit_counts_the_bytes_of_the_computed_result(self, tmp_path):
+        """The spill slot is the computed envelope's own JSON text, wrapped
+        in its kind/cache_key object, so a promoted hit counts the bytes
+        the computed result counted."""
+        series = np.cumsum(np.random.default_rng(5).standard_normal(4096))
+        config = CacheConfig(persist_dir=tmp_path / "spill")
+        first = repro.analyze(series, cache_config=config)
+        computed = first.run(_request(128))
+        counted = first.cache_info()["bytes"]
+        assert counted == len(computed.to_json().encode("utf-8"))
+
+        second = repro.analyze(series, cache_config=config)
+        _, source = second.run_with_info(_request(128))
+        assert source == "persistent"
+        assert second.cache_info()["bytes"] == counted
+
+        (slot,) = (tmp_path / "spill").rglob("*.json")
+        text = slot.read_text(encoding="utf-8")
+        assert text.endswith(f', "result": {computed.to_json()}}}')
+        assert "\n" not in text
+
     def test_stale_key_mismatch_is_a_miss(self, values, tmp_path):
         cache = PersistentResultCache(tmp_path / "spill")
         digest = series_digest(values)

@@ -10,8 +10,12 @@ three invariants the service story rests on:
 * **JSON round-trip identity** — a request survives
   ``to_json``/``from_json`` unchanged (same canonical key, same dict form);
 * **three-way result agreement** — the service path (HTTP → queue → worker
-  → envelope → JSON → client), the direct session path and the flat
-  function oracle produce the same answer.
+  → envelope → binary frame → client), the direct session path and the
+  flat function oracle produce the same answer;
+* **frame/JSON identity** — the binary frame of :mod:`repro.io.frame` and
+  the JSON document decode to the same envelope, key for key and bit for
+  bit, and a malformed frame is a ``SerializationError`` (a
+  ``ServiceError`` at the client).
 
 The series are deliberately tiny (a few hundred points): the point is
 coverage of the dispatch surface, not algorithmic scale.
@@ -19,17 +23,24 @@ coverage of the dispatch surface, not algorithmic scale.
 
 from __future__ import annotations
 
+import gc
+import json
 import random
+import struct
 
 import numpy as np
 import pytest
 
 import repro
+import repro.service.client as client_module
+import repro.service.server as server_module
 from repro.api.registry import iter_specs, resolve_algorithm
-from repro.api.requests import AnalysisRequest, canonical_cache_key
+from repro.api.requests import AnalysisRequest, AnalysisResult, canonical_cache_key
 from repro.baselines.brute_force_range import brute_force_range
 from repro.baselines.quick_motif import quick_motif_range
 from repro.core.discords import variable_length_discords
+from repro.exceptions import SerializationError, ServiceError
+from repro.io.frame import decode_frame, encode_frame
 from repro.matrix_profile.brute_force import brute_force_matrix_profile
 from repro.matrix_profile.profile import MatrixProfile
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
@@ -261,3 +272,184 @@ def test_service_session_and_oracle_agree(spec, series, other_series, service):
         _assert_equivalent(spec.kind, served.range_result(), direct.range_result())
     else:
         _assert_equivalent(spec.kind, served.payload, direct.payload)
+
+
+# --------------------------------------------------------------------- #
+# binary frame against JSON
+# --------------------------------------------------------------------- #
+def _assert_same_bits(left, right, where: str = "envelope") -> None:
+    """Equal keys, equal types, and equal bits for every float and array."""
+    if isinstance(left, dict):
+        assert isinstance(right, dict) and left.keys() == right.keys(), where
+        for key in left:
+            _assert_same_bits(left[key], right[key], f"{where}.{key}")
+    elif isinstance(left, np.ndarray):
+        assert isinstance(right, np.ndarray), where
+        assert (left.dtype, left.shape) == (right.dtype, right.shape), where
+        assert left.tobytes() == right.tobytes(), where
+    elif isinstance(left, list):
+        assert isinstance(right, list) and len(left) == len(right), where
+        for index, (item, mirror) in enumerate(zip(left, right)):
+            _assert_same_bits(item, mirror, f"{where}[{index}]")
+    elif isinstance(left, float):
+        assert isinstance(right, float), where
+        assert struct.pack("<d", left) == struct.pack("<d", right), where
+    else:
+        assert type(left) is type(right) and left == right, where
+
+
+def _arrays(value) -> list:
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [array for item in value for array in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize(
+    "spec", iter_specs(), ids=lambda spec: f"{spec.kind}-{spec.key}"
+)
+def test_frame_and_json_answers_decode_to_the_same_envelope(
+    spec, series, other_series, service, monkeypatch
+):
+    decoded = []
+
+    def counting_decode(raw):
+        decoded.append(len(raw))
+        return decode_frame(raw)
+
+    monkeypatch.setattr(client_module, "decode_frame", counting_decode)
+    request = _random_request(spec, random.Random(f"{spec.kind}-{spec.key}"), other_series)
+
+    framed, _ = service.analyze(series, request)
+    assert decoded, "analyze() did not receive a frame"
+    status, document = service.analyze_raw(series, request)
+    assert status == 200
+    json.dumps(document)  # analyze_raw() still returns a JSON document
+    plain = AnalysisResult.from_dict(document["result"])
+
+    framed_dict = framed.as_dict(arrays=True)
+    _assert_same_bits(framed_dict, plain.as_dict(arrays=True))
+    assert all(array.flags.writeable for array in _arrays(framed_dict))
+    if spec.kind == "pan_profile":
+        # NaN padding and 2-D arrays both crossed the frame.
+        profiles = framed.payload.normalized_profiles
+        assert profiles.ndim == 2 and np.isnan(profiles).any()
+        profiles[0, 0] = 0.0  # writeable, not a view of the body
+    if spec.kind in ("motifs", "discords", "mpdist"):
+        assert not _arrays(framed_dict["payload"])  # payloads with no arrays
+
+
+_SAMPLE = {
+    "profile": np.linspace(0.0, 1.0, 5),
+    "nested": [{"indices": np.arange(6, dtype=np.int64).reshape(2, 3)}, 7],
+    "empty": np.zeros(0),
+    "name": "sample",
+}
+
+
+def _split(frame: bytes):
+    """A frame's header document and its data section."""
+    (length,) = struct.unpack_from("<I", frame, 4)
+    return json.loads(frame[8 : 8 + length]), frame[8 + length + (-(8 + length) % 8) :]
+
+
+def _reframe(header, data: bytes) -> bytes:
+    text = json.dumps(header).encode("utf-8")
+    padding = b"\0" * (-(8 + len(text)) % 8)
+    return b"RPF1" + struct.pack("<I", len(text)) + text + padding + data
+
+
+def _edit_descriptor(**changes) -> bytes:
+    header, data = _split(encode_frame(_SAMPLE))
+    header["profile"]["$ndarray"].update(changes)
+    return _reframe(header, data)
+
+
+def test_frame_round_trip_keeps_dtypes_shapes_and_bits():
+    frame = encode_frame(_SAMPLE)
+    assert frame[:4] == b"RPF1" and len(frame) % 8 == 0
+    header, _ = _split(frame)
+    assert header["profile"] == {
+        "$ndarray": {"dtype": "<f8", "shape": [5], "offset": 0, "nbytes": 40}
+    }
+    decoded = decode_frame(frame)
+    _assert_same_bits(decoded, _SAMPLE, "frame")
+    assert decode_frame(bytearray(frame))["name"] == "sample"
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (b"JSON" + encode_frame(_SAMPLE)[4:], "bad magic"),
+        (b"RP", "bad magic"),
+        (
+            b"RPF1" + struct.pack("<I", 10_000) + encode_frame(_SAMPLE)[8:],
+            "runs past the body",
+        ),
+        (_edit_descriptor(shape=[20], nbytes=160), "runs past the end"),
+        (encode_frame(_SAMPLE)[:-8], "runs past the end"),
+        (_edit_descriptor(dtype="<f4"), "unknown dtype"),
+        (_edit_descriptor(dtype="|O"), "unknown dtype"),
+        (_edit_descriptor(nbytes=48), "claims 48 bytes"),
+        (_edit_descriptor(shape=[-5]), "bad shape"),
+        (_edit_descriptor(offset=8), "expected 0"),
+        (encode_frame(_SAMPLE) + b"\0" * 8, "8 trailing bytes"),
+        (b"RPF1" + struct.pack("<I", 8) + b"{not js}", "not JSON"),
+    ],
+    ids=[
+        "bad-magic",
+        "short-prefix",
+        "header-past-body",
+        "array-past-end",
+        "truncated",
+        "dtype-f4",
+        "dtype-object",
+        "nbytes-mismatch",
+        "negative-shape",
+        "out-of-order",
+        "trailing-bytes",
+        "header-not-json",
+    ],
+)
+def test_malformed_frames_raise_serialization_error(frame, message):
+    with pytest.raises(SerializationError, match=message):
+        decode_frame(frame)
+
+
+def test_frame_codec_leaves_no_reference_cycles():
+    """Encode and decode free what they hold by reference counting.  A cycle
+    would keep each answer's arrays (server) or body (client) alive until
+    the cyclic collector ran, and a server answering fast enough to allocate
+    little else would pile them up."""
+    gc.collect()
+    gc.disable()
+    try:
+        decode_frame(encode_frame(_SAMPLE))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_encode_rejects_what_a_frame_cannot_carry():
+    with pytest.raises(SerializationError, match="float32"):
+        encode_frame({"values": np.zeros(3, dtype=np.float32)})
+    with pytest.raises(SerializationError, match="reserved"):
+        encode_frame({"params": {"$ndarray": 1}})
+
+
+def test_client_reports_a_malformed_frame_as_service_error(
+    series, service, monkeypatch
+):
+    real = server_module.encode_frame
+    monkeypatch.setattr(
+        server_module, "encode_frame", lambda document: real(document) + b"\0" * 8
+    )
+    request = AnalysisRequest(kind="matrix_profile", params={"window": 20})
+    with pytest.raises(ServiceError, match="malformed frame"):
+        service.analyze(series, request)
+    monkeypatch.undo()
+    served, _ = service.analyze(series, request)  # the connection is still sound
+    assert served.profile().window == 20

@@ -258,6 +258,7 @@ class TestServiceTracePropagation:
                 "client.analyze",
                 "service.request",
                 "service.queue",
+                "service.encode",
                 "session.run",
                 "kernel.sweep",
             ),
@@ -278,6 +279,7 @@ class TestServiceTracePropagation:
                 "client.analyze",
                 "service.request",
                 "service.worker",
+                "service.encode",
                 "session.run",
                 "kernel.sweep",
             ),

@@ -12,17 +12,21 @@ from __future__ import annotations
 import json
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
 
 import repro
-from repro.api.cache import CacheConfig
+import repro.service.server as server_module
+from repro.api.cache import CacheConfig, series_digest
 from repro.api.registry import AlgorithmSpec, register, unregister
 from repro.api.requests import AnalysisRequest
 from repro.cli import main as cli_main
 from repro.exceptions import InvalidParameterError, ServiceError
 from repro.harness.runner import compare_algorithms
+from repro.io.frame import MEDIA_TYPE as FRAME_MEDIA_TYPE
+from repro.io.frame import decode_frame
 from repro.matrix_profile import _native
 from repro.matrix_profile.kernels import KERNEL_ENV, resolve_kernel
 from repro.service import (
@@ -51,6 +55,22 @@ def client(service) -> ServiceClient:
 
 def _mp_request(window: int) -> AnalysisRequest:
     return AnalysisRequest(kind="matrix_profile", params={"window": window})
+
+
+def _raw_analyze(port: int, document: dict, accept: str | None = None):
+    """One ``POST /analyze`` on its own connection: ``(status, headers, body)``."""
+    connection = HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        headers = {"Content-Type": "application/json"}
+        if accept is not None:
+            headers["Accept"] = accept
+        connection.request(
+            "POST", "/analyze", body=json.dumps(document).encode(), headers=headers
+        )
+        response = connection.getresponse()
+        return response.status, response.headers, response.read()
+    finally:
+        connection.close()
 
 
 # --------------------------------------------------------------------- #
@@ -315,13 +335,170 @@ class TestConcurrency:
                     ),
                 )
                 assert status == 503 and "queue is full" in payload["error"]
+                # A client that accepts the frame still gets a JSON 503.
+                document = {
+                    "series": values.tolist(),
+                    "request": {
+                        "kind": "mpdist",
+                        "algo": "_test_backpressure",
+                        "params": {"tag": 98},
+                    },
+                }
+                status, headers, body = _raw_analyze(
+                    background.port, document, FRAME_MEDIA_TYPE
+                )
+                assert status == 503
+                assert headers["Content-Type"] == "application/json"
+                assert "queue is full" in json.loads(body)["error"]
+                assert "queue;dur=" in headers["Server-Timing"]
                 release.set()
                 for thread in threads:
                     thread.join(timeout=120)
                 stats = local.stats()
-                assert stats["rejected"] == 1 and stats["completed"] == 3
+                assert stats["rejected"] == 2 and stats["completed"] == 3
         finally:
             unregister("mpdist", "_test_backpressure")
+
+
+class TestFrameNegotiation:
+    """``POST /analyze`` answers a binary frame only to a request whose
+    ``Accept`` names it, and only with a 200; everything else is JSON."""
+
+    @staticmethod
+    def _document(values, window: int) -> dict:
+        return {"series": values.tolist(), "request": _mp_request(window).as_dict()}
+
+    @pytest.mark.parametrize("accept", [None, "application/json"])
+    def test_json_stays_the_default(self, service, values, accept):
+        status, headers, body = _raw_analyze(
+            service.port, self._document(values, 44), accept
+        )
+        assert status == 200
+        assert headers["Content-Type"] == "application/json"
+        document = json.loads(body)
+        assert document["result"]["payload_type"] == "matrix_profile"
+        assert len(document["result"]["payload"]["distances"]) == values.size - 44 + 1
+
+    def test_a_request_that_accepts_the_frame_gets_one(self, service, values):
+        status, headers, body = _raw_analyze(
+            service.port,
+            self._document(values, 46),
+            f"{FRAME_MEDIA_TYPE};q=0.9, application/json;q=0.5",
+        )
+        assert status == 200
+        assert headers["Content-Type"] == FRAME_MEDIA_TYPE
+        assert body[:4] == b"RPF1"
+        framed = decode_frame(body)
+        _, _, plain_body = _raw_analyze(service.port, self._document(values, 46))
+        plain = json.loads(plain_body)
+        assert framed.keys() == plain.keys()
+        assert framed["result"].keys() == plain["result"].keys()
+        payload = framed["result"]["payload"]
+        assert payload["distances"].dtype == np.float64
+        assert payload["distances"].tolist() == plain["result"]["payload"]["distances"]
+        assert payload["indices"].tolist() == plain["result"]["payload"]["indices"]
+
+    def test_a_zero_quality_refuses_the_frame(self, service, values):
+        _, headers, _ = _raw_analyze(
+            service.port,
+            self._document(values, 46),
+            f"{FRAME_MEDIA_TYPE};q=0, application/json",
+        )
+        assert headers["Content-Type"] == "application/json"
+
+    def test_errors_stay_json_when_the_frame_is_accepted(self, service, values):
+        status, headers, body = _raw_analyze(
+            service.port, self._document(values, 10_000), FRAME_MEDIA_TYPE
+        )
+        assert status == 422
+        assert headers["Content-Type"] == "application/json"
+        assert "error" in json.loads(body)
+        unknown = series_digest(np.arange(7.0))
+        status, headers, body = _raw_analyze(
+            service.port,
+            {"series_digest": unknown, "request": _mp_request(8).as_dict()},
+            FRAME_MEDIA_TYPE,
+        )
+        assert status == 404
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body)["unknown_digest"] == unknown
+
+    def test_digest_negotiation_feeds_the_frame(self, service):
+        fresh = np.cumsum(np.random.default_rng(31).standard_normal(300))
+        client = ServiceClient(port=service.port)
+        sent = []
+        original = client._exchange
+
+        def recording(method, path, body=None, **kwargs):
+            sent.append((method, path.split("/")[1], kwargs.get("accept")))
+            return original(method, path, body, **kwargs)
+
+        client._exchange = recording
+        served, source = client.analyze(fresh, _mp_request(30))
+        assert source == "computed"
+        assert [entry[:2] for entry in sent] == [
+            ("POST", "analyze"),
+            ("PUT", "series"),
+            ("POST", "analyze"),
+        ]
+        assert FRAME_MEDIA_TYPE in sent[0][2] and sent[2][2] == sent[0][2]
+        oracle = repro.stomp(fresh, 30)
+        np.testing.assert_array_equal(served.profile().indices, oracle.indices)
+        np.testing.assert_allclose(served.profile().distances, oracle.distances, atol=1e-8)
+
+    def test_a_frame_asking_client_reads_a_json_answer(
+        self, service, values, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "accepts_frame", lambda accept: False)
+        client = ServiceClient(port=service.port)
+        served, _ = client.analyze(values, _mp_request(50))
+        direct = repro.analyze(values).matrix_profile(50).profile()
+        np.testing.assert_array_equal(served.profile().indices, direct.indices)
+        assert served.profile().distances.flags.writeable
+
+    def test_a_result_the_frame_cannot_carry_is_answered_in_json(self, values):
+        """A parameter that spells the frame's descriptor key cannot travel
+        in a frame header; the worker answers JSON instead."""
+        register(
+            AlgorithmSpec(
+                kind="mpdist",
+                key="_test_reserved",
+                runner=lambda session, **params: 1.5,
+                description="test-only runner",
+            )
+        )
+        try:
+            with BackgroundService(ServiceConfig(port=0, workers=1)) as background:
+                request = AnalysisRequest(
+                    kind="mpdist", algo="_test_reserved", params={"tag": {"$ndarray": 1}}
+                )
+                status, headers, _ = _raw_analyze(
+                    background.port,
+                    {"series": values.tolist(), "request": request.as_dict()},
+                    FRAME_MEDIA_TYPE,
+                )
+                assert status == 200
+                assert headers["Content-Type"] == "application/json"
+                served, _ = ServiceClient(port=background.port).analyze(values, request)
+                assert served.payload == 1.5
+        finally:
+            unregister("mpdist", "_test_reserved")
+
+    def test_every_analyze_answer_carries_server_timing(self, service, client, values):
+        client.analyze(values, _mp_request(52))
+        assert set(client.server_timing) == {"queue", "execute", "encode"}
+        assert all(value >= 0.0 for value in client.server_timing.values())
+        status, headers, _ = _raw_analyze(service.port, self._document(values, 10_000))
+        assert status == 422
+        assert headers["Server-Timing"].startswith("queue;dur=")
+        connection = HTTPConnection("127.0.0.1", service.port, timeout=60)
+        try:
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            response.read()
+            assert response.getheader("Server-Timing") is None
+        finally:
+            connection.close()
 
 
 def test_unregister_restores_the_displaced_default():
@@ -389,6 +566,36 @@ def test_cli_request_round_trip(service, capsys):
     assert document["payload_type"] == "matrix_profile"
     assert document["cache"] in ("computed", "memory", "persistent")
     assert len(document["payload"]["distances"]) == 512 - 48 + 1
+
+
+def test_cli_request_trace_prints_server_timing(service, capsys, tmp_path):
+    exit_code = cli_main(
+        [
+            "request",
+            "--url",
+            f"http://127.0.0.1:{service.port}",
+            "--workload",
+            "ecg",
+            "--length",
+            "512",
+            "--kind",
+            "matrix_profile",
+            "--params",
+            '{"window": 40}',
+            "--trace",
+            str(tmp_path / "trace.json"),
+        ]
+    )
+    assert exit_code == 0
+    captured = capsys.readouterr()
+    document = json.loads(captured.out)  # stdout stays the JSON document
+    assert len(document["payload"]["distances"]) == 512 - 40 + 1
+    timing_lines = [
+        line for line in captured.err.splitlines() if line.startswith("server timing:")
+    ]
+    assert len(timing_lines) == 1
+    for phase in ("queue", "execute", "encode"):
+        assert f"{phase} " in timing_lines[0]
 
 
 def test_cli_request_rejects_bad_params(service):

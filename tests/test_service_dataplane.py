@@ -44,6 +44,8 @@ from repro.engine.shm import (
 )
 from repro.exceptions import InvalidParameterError, ServiceError, StoreError
 from repro.harness.tables import metrics_rows
+from repro.io.frame import MEDIA_TYPE as FRAME_MEDIA_TYPE
+from repro.io.frame import decode_frame
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
 from repro.service.server import _LATENCY_BUCKET_BOUNDS, _METRIC_PHASES, AnalysisService
 from repro.store import SeriesStore
@@ -574,6 +576,56 @@ class TestMetrics:
 # --------------------------------------------------------------------- #
 # the process data plane, end to end
 # --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "worker_kind",
+    [
+        "thread",
+        pytest.param(
+            "process",
+            marks=pytest.mark.skipif(
+                not _process_pools_work(), reason="process pools unavailable here"
+            ),
+        ),
+    ],
+)
+def test_both_worker_kinds_frame_200_answers(worker_kind, values):
+    """The computed answer and the cache hit are both framed, on either data
+    plane, and carry the same bits as the in-process profile."""
+    config = ServiceConfig(port=0, workers=1, worker_kind=worker_kind)
+    body = json.dumps(
+        {
+            "series": values.tolist(),
+            "request": {"kind": "matrix_profile", "params": {"window": 36}},
+        }
+    ).encode()
+    oracle = Analysis(values).matrix_profile(36).profile()
+    with BackgroundService(config) as background:
+        connection = http.client.HTTPConnection("127.0.0.1", background.port, timeout=300)
+        try:
+            for expected in ("computed", "memory"):
+                connection.request(
+                    "POST",
+                    "/analyze",
+                    body=body,
+                    headers={"Content-Type": "application/json", "Accept": FRAME_MEDIA_TYPE},
+                )
+                response = connection.getresponse()
+                raw = response.read()
+                assert response.status == 200
+                assert response.getheader("Content-Type") == FRAME_MEDIA_TYPE
+                document = decode_frame(raw)
+                assert document["cache"] == expected
+                payload = document["result"]["payload"]
+                assert payload["indices"].tobytes() == oracle.indices.tobytes()
+                np.testing.assert_allclose(payload["distances"], oracle.distances, atol=1e-8)
+        finally:
+            connection.close()
+        stats = ServiceClient(port=background.port).stats()
+        if worker_kind == "process" and stats["worker_kind"] != "process":
+            pytest.skip("the service degraded to thread workers")
+        assert stats["worker_kind"] == worker_kind
+
+
 class TestProcessWorkers:
     @pytest.mark.skipif(
         not _process_pools_work(), reason="process pools unavailable here"
