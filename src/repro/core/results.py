@@ -20,6 +20,12 @@ __all__ = ["LengthResult", "PruningStats", "ValmodResult"]
 class PruningStats:
     """Pruning counters for one subsequence length (the data behind Figure 2).
 
+    A length where the run re-based its store (a full base pass, see
+    :mod:`repro.core.valmod`) computed every profile exactly and certified
+    none with a bound: ``num_valid=0``, ``num_non_valid = num_recomputed =
+    num_profiles`` and ``min_lb_abs=inf``.  The base length itself reads
+    ``num_valid = num_profiles``.
+
     Attributes
     ----------
     num_profiles:

@@ -3,9 +3,9 @@
 The algorithm proceeds exactly as described in Section 2 of the paper:
 
 1. compute the matrix profile at the smallest length ``l_min`` of the range
-   with a STOMP pass; while each base distance profile is available, retain
-   its ``p`` most promising entries (smallest lower bound) in a
-   :class:`~repro.core.partial_profile.PartialProfileStore`;
+   with a STOMP pass (the *base pass*); while each base distance profile is
+   available, retain its ``p`` most promising entries (smallest lower bound)
+   in a :class:`~repro.core.partial_profile.PartialProfileStore`;
 2. for every longer length ``l_min+1 … l_max``: update the retained dot
    products incrementally, obtain each profile's ``minDist`` and ``maxLB``
    and classify it as *valid* (its retained minimum is provably the true
@@ -19,6 +19,17 @@ The algorithm proceeds exactly as described in Section 2 of the paper:
    still open at this length (one seed, then a few microseconds per row),
    and every swept row's minimum is kept for the rest of the length;
 4. update VALMAP with the top-k pairs of the length.
+
+The bounds loosen as the length moves away from the store's base length, so
+the recompute runs grow.  Before each length ``L`` above ``l_min`` the run
+therefore decides whether to *re-base*, as the paper falls back to a full
+``ComputeMatrixProfile`` that also rebuilds ``listDP``: when the rows the
+recompute runs swept at the previous evaluated length, times the lengths
+left (``L`` through ``l_max``), reach the rows of one full pass at ``L``,
+the store is dropped and the base pass runs again at ``L``.  ``L``'s motifs
+then come from that exact profile, and later lengths are evaluated against
+the new store.  The rule reads row counts only, which are the same on every
+kernel and executor, so the output stays exact and kernel-independent.
 
 The result object bundles the per-length motif pairs, the pruning statistics
 (Figure 2), the VALMAP meta-data (Figure 1, right) and the ranking of motif
@@ -37,11 +48,12 @@ from repro.core.config import ValmodConfig
 from repro.core.partial_profile import PartialProfileStore
 from repro.core.results import LengthResult, PruningStats, ValmodResult
 from repro.core.valmap import Valmap
+from repro.engine.executor import Executor, resolve_executor
 # Unused here since recomputes sweep rows; perfbench's ``core.recompute`` probe patches it.
 from repro.matrix_profile.distance_profile import distance_profile  # noqa: F401
 from repro.matrix_profile.exclusion import apply_exclusion_zone, default_exclusion_radius
 from repro.matrix_profile.kernels import PreparedSweep, resolve_kernel
-from repro.matrix_profile.profile import MotifPair
+from repro.matrix_profile.profile import MatrixProfile, MotifPair
 from repro.matrix_profile.stomp import stomp
 from repro.series.dataseries import DataSeries
 from repro.series.validation import validate_length_range, validate_series
@@ -101,11 +113,13 @@ def valmod(
     documentation for the meaning of each knob.  ``series`` may be a plain
     array or a :class:`~repro.series.DataSeries`.
 
-    ``engine`` / ``n_jobs`` / ``block_size`` route the base-length STOMP
-    pass through the block-partitioned engine (see :mod:`repro.engine`).
-    Each block ingests into a partial-profile store fragment and the
-    fragments merge into the exact serial store, so the base pass
-    parallelises like any other profile computation.  The per-length exact
+    ``engine`` / ``n_jobs`` / ``block_size`` route every base pass (at
+    ``min_length`` and at each re-base) through the block-partitioned engine
+    (see :mod:`repro.engine`).  A named engine is resolved once per run, so
+    the passes share one pool, which the run closes at its end.  Each block
+    ingests into a partial-profile store fragment and the fragments merge
+    into the exact serial store, so the base pass parallelises like any
+    other profile computation.  The per-length exact
     recomputations always run in-process, as STOMP sweeps over runs of
     neighbouring non-valid rows: a run costs one seed plus a few
     microseconds per row, far below what a pool dispatch costs.  ``kernel``
@@ -158,15 +172,22 @@ def valmod_with_config(
     :class:`repro.api.Analysis` session shares one across every call).
 
     While a trace is being collected the run records one
-    ``valmod.base_pass`` span, one ``valmod.evaluate`` span per length and
-    one ``valmod.recompute`` span per length with recomputations, each
-    tagged with the kernel that ran.  A recompute span's duration is the
-    sum of that length's row sweeps (including its sweep context); it
-    carries ``profiles`` (the profiles the selection needed), ``rows`` (the
-    rows swept), ``runs`` (the sweeps, one seed each) and ``kernel``.  The
-    recompute sweeps record no ``kernel.sweep`` span and feed no
-    ``kernel.sweep_*`` metric.  ``extra["total_rows_swept"]`` on the result
-    sits beside ``extra["total_recomputed_profiles"]``.
+    ``valmod.base_pass`` span per base pass (``min_length`` and every
+    re-base, tagged with its length), one ``valmod.evaluate`` span per length
+    evaluated against a store and one ``valmod.recompute`` span per length
+    with recomputations, each tagged with the kernel that ran.  A recompute
+    span's duration is the sum of that length's row sweeps (including its
+    sweep context); it carries ``profiles`` (the profiles the selection
+    needed), ``rows`` (the rows swept), ``runs`` (the sweeps, one seed each)
+    and ``kernel``.  The recompute sweeps record no ``kernel.sweep`` span and
+    feed no ``kernel.sweep_*`` metric.  ``extra["total_rows_swept"]`` on the
+    result sits beside ``extra["total_recomputed_profiles"]``; it counts
+    every re-base pass's rows too.
+
+    A re-based length computed every profile exactly and certified none
+    with a bound: its :class:`~repro.core.results.PruningStats` read
+    ``num_valid=0``, ``num_non_valid = num_recomputed = num_profiles`` and
+    ``min_lb_abs=inf``.
     """
     series_name = series.name if isinstance(series, DataSeries) else "series"
     values = validate_series(series)
@@ -177,66 +198,46 @@ def valmod_with_config(
     if stats is None:
         stats = SlidingStats(values)
     kernel = resolve_kernel(kernel)
-    store = PartialProfileStore(
-        values,
-        stats,
-        config.min_length,
-        config.profile_capacity,
-        exclusion_factor=config.exclusion_factor,
-        lower_bound_kind=config.lower_bound_kind,
-        kernel=kernel,
-    )
-
-    # The store ingests inside the STOMP pass (row views on the oracle and
-    # numpy kernels, in C on native): in one serial sweep, or block-locally
-    # (fragments merged back) when an engine is configured — no per-row
-    # callback, hence nothing forces blocks serial.
-    base_radius = default_exclusion_radius(config.min_length, config.exclusion_factor)
-    with obs.span("valmod.base_pass", length=config.min_length, kernel=kernel):
-        base_profile = stomp(
-            values,
-            config.min_length,
-            exclusion_radius=base_radius,
-            stats=stats,
-            ingest_store=store,
-            engine=engine,
-            n_jobs=n_jobs,
-            block_size=block_size,
-            kernel=kernel,
+    executor, owned = None, False
+    if engine is not None:
+        executor, owned = resolve_executor(
+            engine, task_units=values.size - config.min_length + 1, n_jobs=n_jobs
+        )
+    try:
+        store, base_profile = _base_pass(
+            values, stats, config, config.min_length, kernel, executor, block_size
+        )
+        length_results: Dict[int, LengthResult] = {
+            config.min_length: _pass_result(base_profile, config.top_k, rebased=False)
+        }
+        valmap = Valmap.from_base_profile(
+            base_profile, config.max_length, track_checkpoints=config.track_checkpoints
         )
 
-    length_results: Dict[int, LengthResult] = {}
-    base_motifs = base_profile.motifs(config.top_k)
-    base_count = len(base_profile)
-    length_results[config.min_length] = LengthResult(
-        length=config.min_length,
-        motifs=base_motifs,
-        pruning=PruningStats(
-            length=config.min_length,
-            num_profiles=base_count,
-            num_valid=base_count,
-            num_non_valid=0,
-            num_recomputed=0,
-            min_lb_abs=float("inf"),
-        ),
-    )
-
-    valmap = Valmap.from_base_profile(
-        base_profile, config.max_length, track_checkpoints=config.track_checkpoints
-    )
-
-    total_recomputed = 0
-    total_rows_swept = 0
-    total_non_valid = 0
-    for length in config.lengths[1:]:
-        result, rows_swept = _evaluate_length(stats, store, config, length, kernel)
-        total_recomputed += result.pruning.num_recomputed
-        total_rows_swept += rows_swept
-        total_non_valid += result.pruning.num_non_valid
-        length_results[length] = result
-        valmap.update_from_pairs(result.motifs, both_members=config.update_both_members)
-        if length != config.min_length:
+        lengths = config.lengths
+        total_rows_swept = 0
+        rows_before = 0  # swept by the recompute runs at the previous evaluated length
+        for position, length in enumerate(lengths[1:], start=1):
+            full_pass = values.size - length + 1
+            if rows_before * (len(lengths) - position) >= full_pass:
+                store = None  # dropped before the pass builds its successor
+                store, profile = _base_pass(
+                    values, stats, config, length, kernel, executor, block_size
+                )
+                result = _pass_result(profile, config.top_k, rebased=True)
+                rows_before = 0
+                total_rows_swept += full_pass
+            else:
+                result, rows_before = _evaluate_length(stats, store, config, length, kernel)
+                total_rows_swept += rows_before
+            length_results[length] = result
+            valmap.update_from_pairs(result.motifs, both_members=config.update_both_members)
             stats.forget(length)
+    finally:
+        if owned:
+            executor.close()
+    total_recomputed = sum(r.pruning.num_recomputed for r in length_results.values())
+    total_non_valid = sum(r.pruning.num_non_valid for r in length_results.values())
 
     elapsed = time.perf_counter() - started
     _VALMOD_RUNS.inc()
@@ -264,6 +265,63 @@ def valmod_with_config(
             "total_recomputed_profiles": float(total_recomputed),
             "total_rows_swept": float(total_rows_swept),
         },
+    )
+
+
+def _base_pass(
+    values: np.ndarray,
+    stats: SlidingStats,
+    config: ValmodConfig,
+    length: int,
+    kernel: str,
+    executor: Executor | None,
+    block_size: int | None,
+) -> "tuple[PartialProfileStore, MatrixProfile]":
+    """A STOMP pass at ``length`` that fills a new partial-profile store.
+
+    The store ingests inside the pass (row views on the oracle and numpy
+    kernels, in C on native): in one serial sweep, or block-locally
+    (fragments merged back) when an executor is given.
+    """
+    store = PartialProfileStore(
+        values,
+        stats,
+        length,
+        config.profile_capacity,
+        exclusion_factor=config.exclusion_factor,
+        lower_bound_kind=config.lower_bound_kind,
+        kernel=kernel,
+    )
+    with obs.span("valmod.base_pass", length=length, kernel=kernel):
+        profile = stomp(
+            values,
+            length,
+            exclusion_radius=default_exclusion_radius(length, config.exclusion_factor),
+            stats=stats,
+            ingest_store=store,
+            engine=executor,
+            block_size=block_size,
+            kernel=kernel,
+        )
+    return store, profile
+
+
+def _pass_result(profile: MatrixProfile, top_k: int, *, rebased: bool) -> LengthResult:
+    """A base pass's length: motifs from its exact profile.  The first base
+    pass has nothing to certify; a re-based length computed every profile
+    exactly and certified none with a bound (Figure 2)."""
+    count = len(profile)
+    return LengthResult(
+        length=profile.window,
+        motifs=profile.motifs(top_k),
+        pruning=PruningStats(
+            length=profile.window,
+            num_profiles=count,
+            num_valid=0 if rebased else count,
+            num_non_valid=count if rebased else 0,
+            num_recomputed=count if rebased else 0,
+            min_lb_abs=float("inf"),
+        ),
     )
 
 

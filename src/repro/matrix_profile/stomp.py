@@ -7,10 +7,11 @@ sliding dot products of consecutive query subsequences obey the recurrence::
     QT[i, j] = QT[i-1, j-1] - T[i-1]·T[j-1] + T[i+m-1]·T[j+m-1]
 
 so only the first distance profile needs an FFT.  This implementation is the
-fixed-length work-horse of the library: VALMOD uses it for the base length
-``l_min`` and the ``STOMP-range`` baseline re-runs it for every length in the
-range.  Its one per-row hook is ``ingest_store``, through which VALMOD's base
-pass hands every row's centered dot products to the partial-profile store.
+fixed-length work-horse of the library: VALMOD uses it for its base passes
+(at ``l_min`` and at every re-base) and the ``STOMP-range`` baseline re-runs
+it for every length in the range.  Its one per-row hook is ``ingest_store``,
+through which VALMOD's base pass hands every row's centered dot products to
+the partial-profile store.
 """
 
 from __future__ import annotations

@@ -2,15 +2,16 @@
 
 The MASS algorithm (Mueen's Algorithm for Similarity Search) reduces the
 computation of a full distance profile to one convolution, implemented here
-with real FFTs from :mod:`scipy.fft`.  A naive ``O(n·m)`` implementation is
-kept both as a correctness oracle for the tests and as the faster option for
-very short queries.
+with real FFTs from :mod:`numpy.fft`, zero-padded to the next 5-smooth size.
+A naive ``O(n·m)`` implementation is kept both as a correctness oracle for
+the tests and as the faster option for very short queries.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy import fft as _fft
 
 from repro.exceptions import InvalidParameterError
 
@@ -18,6 +19,27 @@ __all__ = ["sliding_dot_product", "sliding_dot_product_naive"]
 
 #: Below this query length the naive method tends to beat the FFT in practice.
 _NAIVE_CUTOFF = 16
+
+
+@lru_cache(maxsize=1024)
+def _next_fast_len(target: int) -> int:
+    """Smallest ``2^a·3^b·5^c`` that is ``>= target``.
+
+    Real FFTs of 5-smooth sizes run fastest; this is the size
+    ``scipy.fft.next_fast_len(target, real=True)`` picks.  For each product
+    of powers of 3 and 5 below the best size so far, the smallest power of
+    two that lifts it to ``target`` is a candidate.
+    """
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            quotient = -(-target // odd)
+            best = min(best, odd << (quotient - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _validate(query: np.ndarray, series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,8 +96,8 @@ def sliding_dot_product(
     n = t.size
     if method == "naive" or (method == "auto" and m <= _NAIVE_CUTOFF):
         return sliding_dot_product_naive(q, t)
-    size = _fft.next_fast_len(n + m - 1, real=True)
+    size = _next_fast_len(n + m - 1)
     reversed_query = q[::-1]
-    product = _fft.irfft(_fft.rfft(t, size) * _fft.rfft(reversed_query, size), size)
+    product = np.fft.irfft(np.fft.rfft(t, size) * np.fft.rfft(reversed_query, size), size)
     # Entry m-1+i of the full convolution equals query . series[i:i+m].
     return product[m - 1 : n]

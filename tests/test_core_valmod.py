@@ -324,32 +324,52 @@ class TestPhaseSpans:
 
 def _mass_reference(values, config):
     """VALMOD's selection loop with one MASS distance profile per needed
-    profile, the recompute the row-run sweeps replaced: per length above the
-    base, ``(pairs, pruning)``."""
+    profile, the recompute the row-run sweeps replaced.  It re-bases by the
+    run's rule, on the rows a row run would cover, counted here from the
+    loop's own ``exact`` and ``working`` arrays.  Returns, per length above
+    the base, ``(pairs, pruning)``, and the rows swept in all (runs and
+    re-base passes)."""
     stats = SlidingStats(values)
-    store = PartialProfileStore(
-        values,
-        stats,
-        config.min_length,
-        config.profile_capacity,
-        exclusion_factor=config.exclusion_factor,
-        lower_bound_kind=config.lower_bound_kind,
-    )
-    stomp(
-        values,
-        config.min_length,
-        exclusion_radius=default_exclusion_radius(config.min_length, config.exclusion_factor),
-        stats=stats,
-        ingest_store=store,
-    )
+
+    def base_pass(length):
+        store = PartialProfileStore(
+            values,
+            stats,
+            length,
+            config.profile_capacity,
+            exclusion_factor=config.exclusion_factor,
+            lower_bound_kind=config.lower_bound_kind,
+        )
+        profile = stomp(
+            values,
+            length,
+            exclusion_radius=default_exclusion_radius(length, config.exclusion_factor),
+            stats=stats,
+            ingest_store=store,
+        )
+        return store, profile
+
+    store, _ = base_pass(config.min_length)
     results = {}
-    for length in config.lengths[1:]:
+    total_rows = 0
+    rows_before = 0
+    lengths = config.lengths
+    for length in lengths[1:]:
+        count = values.size - length + 1
+        if rows_before * len(lengths[lengths.index(length) :]) >= count:
+            store, profile = base_pass(length)
+            pruning = PruningStats(length, count, 0, count, count, float("inf"))
+            results[length] = (profile.motifs(config.top_k), pruning)
+            total_rows += count
+            rows_before = 0
+            continue
         evaluation = store.evaluate(length)
         radius = default_exclusion_radius(length, config.exclusion_factor)
         exact = np.array(evaluation.valid, dtype=bool)
         min_distances = np.array(evaluation.min_distances, dtype=np.float64)
         nearest = np.array(evaluation.min_indices, dtype=np.int64)
         working = np.where(exact, min_distances, evaluation.max_lower_bounds)
+        swept = np.zeros(count, dtype=bool)
         pairs = []
         recomputed = 0
         while len(pairs) < config.top_k:
@@ -357,6 +377,16 @@ def _mass_reference(values, config):
             if not np.isfinite(working[candidate]):
                 break
             if not exact[candidate]:
+                if not swept[candidate]:
+                    # The run of open rows (neither exact nor swept, not
+                    # closed by a zone) around the candidate.
+                    open_rows = ~(exact | swept) & np.isfinite(working)
+                    lo, hi = candidate, candidate + 1
+                    while lo > 0 and open_rows[lo - 1]:
+                        lo -= 1
+                    while hi < count and open_rows[hi]:
+                        hi += 1
+                    swept[lo:hi] = True
                 profile = distance_profile(
                     values, candidate, length, stats=stats, exclusion_radius=radius
                 )
@@ -392,23 +422,36 @@ def _mass_reference(values, config):
                 min_lb_abs=evaluation.min_lb_abs,
             ),
         )
-    return results
+        rows_before = int(swept.sum())
+        total_rows += rows_before
+    return results, total_rows
 
 
+# (series, l_min, l_max, profile capacity, the lengths the run re-bases at)
 _REFERENCE_CASES = {
-    "ecg": (lambda: build_workload("ecg", 1024, random_state=0).values, 48, 64, 16),
-    "walk_a": (lambda: np.cumsum(np.random.default_rng(0).normal(size=400)), 16, 32, 2),
-    "walk_b": (lambda: np.cumsum(np.random.default_rng(21).normal(size=600)), 24, 36, 2),
+    "ecg": (lambda: build_workload("ecg", 1024, random_state=0).values, 48, 64, 16, []),
+    "walk_a": (
+        lambda: np.cumsum(np.random.default_rng(0).normal(size=400)), 16, 32, 2, [20, 25]
+    ),
+    "walk_b": (lambda: np.cumsum(np.random.default_rng(21).normal(size=600)), 24, 36, 2, [29]),
 }
+
+
+def _rebased_lengths(pruning_by_length):
+    return [
+        length
+        for length, pruning in pruning_by_length.items()
+        if pruning.num_valid == 0 and pruning.num_recomputed == pruning.num_profiles
+    ]
 
 
 @pytest.fixture(scope="module")
 def reference_runs():
     runs = {}
-    for name, (make, low, high, capacity) in _REFERENCE_CASES.items():
+    for name, (make, low, high, capacity, _) in _REFERENCE_CASES.items():
         values = make()
         config = ValmodConfig(low, high, top_k=3, profile_capacity=capacity)
-        runs[name] = (values, config, _mass_reference(values, config))
+        runs[name] = (values, config, *_mass_reference(values, config))
     return runs
 
 
@@ -420,16 +463,22 @@ def pool():
 
 class TestRowRunRecompute:
     """The row-run recompute against the MASS loop it replaced: the same
-    pairs, the same Figure 2 counts, distances within 1e-8, on every kernel
-    and executor."""
+    pairs, the same re-base schedule and Figure 2 counts, the same rows
+    swept, distances within 1e-8, on every kernel and executor."""
 
     @pytest.mark.parametrize("engine", [None, "serial", "pool"])
     @pytest.mark.parametrize("kernel", available_kernels())
     @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
     def test_matches_the_mass_loop(self, reference_runs, pool, case, kernel, engine):
-        values, config, reference = reference_runs[case]
+        values, config, reference, reference_rows = reference_runs[case]
         result = valmod_with_config(
             values, config, kernel=kernel, engine=pool if engine == "pool" else engine
+        )
+        schedule = _REFERENCE_CASES[case][-1]
+        assert _rebased_lengths({n: p for n, (_, p) in reference.items()}) == schedule
+        assert (
+            _rebased_lengths({n: result.length_results[n].pruning for n in reference})
+            == schedule
         )
         for length, (pairs, pruning) in reference.items():
             observed = result.length_results[length]
@@ -452,20 +501,77 @@ class TestRowRunRecompute:
                 ), length
         recomputed = sum(p.num_recomputed for _, p in reference.values())
         assert result.extra["total_recomputed_profiles"] == recomputed
-        assert result.extra["total_rows_swept"] >= recomputed
+        assert result.extra["total_rows_swept"] == reference_rows
         if case == "ecg":
             assert recomputed == 174
 
-    def test_bit_identical_pairs_on_every_kernel(self, reference_runs):
-        values, config, _ = reference_runs["ecg"]
-        runs = [valmod_with_config(values, config, kernel=k) for k in available_kernels()]
-        bits = [
-            [
-                (length, p.offset_a, p.offset_b, p.distance.hex())
-                for length in run.lengths
-                for p in run.length_results[length].motifs
-            ]
-            for run in runs
+    def test_bit_identical_pairs_on_every_kernel(self, reference_runs, pool):
+        """On each executor the kernels agree bit for bit, with no re-base
+        (ecg) and with two (walk_a)."""
+        for case in ("ecg", "walk_a"):
+            values, config, _, _ = reference_runs[case]
+            for engine in (None, "serial", pool):
+                runs = [
+                    valmod_with_config(values, config, kernel=k, engine=engine)
+                    for k in available_kernels()
+                ]
+                bits = [
+                    [
+                        (length, p.offset_a, p.offset_b, p.distance.hex())
+                        for length in run.lengths
+                        for p in run.length_results[length].motifs
+                    ]
+                    for run in runs
+                ]
+                assert all(b == bits[0] for b in bits[1:]), (case, engine)
+                assert len({run.extra["total_rows_swept"] for run in runs}) == 1
+
+
+class TestRebase:
+    """Once the recompute runs would sweep more rows than one full pass, the
+    run re-bases: a base pass at that length builds a new store.  On this
+    ECG, lengths 48-80 re-base once, at 60."""
+
+    @pytest.fixture(scope="class")
+    def ecg(self):
+        return build_workload("ecg", 1024, random_state=0).values
+
+    def test_rebased_length_reports_every_profile_computed(self, ecg):
+        with obs.trace() as collector:
+            result = valmod(ecg, 48, 80)
+        spans = {}
+        for event in collector.spans():
+            spans.setdefault(event["name"], []).append(event["args"])
+
+        count = ecg.size - 60 + 1
+        assert result.length_results[60].pruning == PruningStats(
+            60, count, 0, count, count, float("inf")
+        )
+        assert _rebased_lengths(
+            {n: result.length_results[n].pruning for n in result.lengths[1:]}
+        ) == [60]
+        assert [args["length"] for args in spans["valmod.base_pass"]] == [48, 60]
+        assert [args["length"] for args in spans["valmod.evaluate"]] == [
+            n for n in range(49, 81) if n != 60
         ]
-        assert all(b == bits[0] for b in bits[1:])
-        assert len({run.extra["total_rows_swept"] for run in runs}) == 1
+        run_rows = sum(args["rows"] for args in spans["valmod.recompute"])
+        assert result.extra["total_rows_swept"] == run_rows + count
+        assert result.extra["total_recomputed_profiles"] == sum(
+            result.length_results[n].pruning.num_recomputed for n in result.lengths
+        )
+        radius = default_exclusion_radius(60, 4)
+        assert result.motifs_at(60) == stomp(ecg, 60, exclusion_radius=radius).motifs(3)
+
+    def test_rebase_reuses_the_runs_pool(self, ecg):
+        was_enabled = obs.metrics_enabled()
+        obs.set_metrics_enabled(True)
+        try:
+            before = obs.snapshot()["counters"].get("engine.executor.pool_spawns", 0)
+            result = valmod(ecg, 48, 80, engine="parallel", n_jobs=2)
+            spawned = obs.snapshot()["counters"]["engine.executor.pool_spawns"] - before
+        finally:
+            obs.set_metrics_enabled(was_enabled)
+        assert _rebased_lengths(
+            {n: result.length_results[n].pruning for n in result.lengths[1:]}
+        ) == [60]
+        assert spawned == 1

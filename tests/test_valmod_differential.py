@@ -1,7 +1,9 @@
 """Differential test: VALMOD against the brute-force oracle on random shapes.
 
-Hypothesis draws a series shape, a length range, ``top_k``, the profile
-capacity, the sweep kernel and the executor; VALMOD's pairs must have the
+Hypothesis draws a series shape, a length range of up to 24 lengths,
+``top_k``, the profile capacity, the sweep kernel and the executor; each
+example is tagged by whether the run re-based its store (most wide ranges
+do, most narrow ones do not).  VALMOD's pairs must have the
 offsets of :func:`~repro.baselines.brute_force_range.brute_force_range`
 and its distances within 1e-8 (1e-5 at offset 1e6, the pin
 ``tests/test_stomp_centered.py`` documents for that offset; see
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brute_force_range import brute_force_range
@@ -44,7 +46,7 @@ def _series(seed: int, size: int, shape: str, max_length: int) -> np.ndarray:
 @st.composite
 def _cases(draw):
     min_length = draw(st.integers(8, 24))
-    max_length = min_length + draw(st.integers(0, 8))
+    max_length = min_length + draw(st.integers(0, 23))
     return {
         "seed": draw(st.integers(0, 2**32 - 1)),
         "size": draw(st.integers(120, 320)),
@@ -65,7 +67,8 @@ def _assert_matches_brute_force(values, min_length, max_length, top_k, *, offset
     window statistics cannot order.  There a different pair passes if its
     distance by definition is within the tolerance of brute force's, and
     the rest of that length goes unchecked: the greedy selection, with its
-    exclusion zones, legitimately diverges after it.
+    exclusion zones, legitimately diverges after it.  Returns VALMOD's
+    result.
     """
     tolerance = 1e-5 if offset else 1e-8
     result = valmod(values, min_length, max_length, top_k=top_k, **kwargs)
@@ -83,13 +86,14 @@ def _assert_matches_brute_force(values, min_length, max_length, top_k, *, offset
                 break
             assert got.offsets == want.offsets, (length, got, want)
             assert abs(got.distance - want.distance) <= tolerance, (length, got, want)
+    return result
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_cases())
 def test_valmod_matches_brute_force(case):
     values = _series(case["seed"], case["size"], case["shape"], case["max_length"])
-    _assert_matches_brute_force(
+    result = _assert_matches_brute_force(
         values,
         case["min_length"],
         case["max_length"],
@@ -99,6 +103,12 @@ def test_valmod_matches_brute_force(case):
         kernel=case["kernel"],
         engine=case["engine"],
     )
+    rebased = any(
+        entry.pruning.num_valid == 0 and entry.pruning.num_recomputed == entry.pruning.num_profiles
+        for length, entry in result.length_results.items()
+        if length > case["min_length"]
+    )
+    event("re-based" if rebased else "no re-base")
 
 
 @pytest.mark.parametrize("kernel", available_kernels())
